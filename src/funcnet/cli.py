@@ -332,10 +332,15 @@ def _build_network(kind: str, m: int, m_y: int, input_count: int, args, seed):
     raise _UsageError(f"cannot build model kind {kind!r}")
 
 
-def _train_config(args) -> training.TrainConfig:
-    lam_b, lam_w = args.lam_b, args.lam_w
+def _smoothing(args) -> tuple[float, float]:
+    """(lam_b, lam_w) for the networks: --lam sets both."""
     if args.lam is not None:
-        lam_b = lam_w = args.lam
+        return args.lam, args.lam
+    return args.lam_b, args.lam_w
+
+
+def _train_config(args) -> training.TrainConfig:
+    lam_b, lam_w = _smoothing(args)
     return training.TrainConfig(
         step_size=args.step_size,
         max_iterations=args.max_iterations,
@@ -569,6 +574,9 @@ def cmd_benchmark(args) -> int:
     for name in args.scenarios:
         if name not in datagen.SCENARIOS:
             raise _UsageError(f"unknown scenario {name!r}")
+    if "vnn" in args.models and max(_smoothing(args)) > 0:
+        raise _UsageError("model vnn has no roughness penalty; set --lam, --lam-b "
+                          "and --lam-w to 0 or leave vnn out of --models")
     os.makedirs(args.out, exist_ok=True)
     workers = args.workers
     env_workers = os.environ.get("FUNCNET_WORKERS")

@@ -9,6 +9,7 @@ trapezoid sums on the predictor grid.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ class FuncDataset:
             raise ValueError("curve lengths do not match the declared grids")
         if self.y_clean is not None and np.shape(self.y_clean) != self.y.shape:
             raise ValueError("y_clean must match y")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("x and y must be finite")
 
     @property
     def n(self) -> int:
@@ -221,7 +224,9 @@ def load_table(path, m: int, m_y: int, max_missing: float = 0.2) -> FuncDataset:
 
     Empty cells are treated as missing and filled by linear
     interpolation along the curve; rows missing more than
-    ``max_missing`` of their values are dropped.
+    ``max_missing`` of their values are dropped.  The first row is a
+    header if one of its value cells is neither empty nor a number.
+    Any other non-numeric cell, and any inf or nan, is an error.
     """
     rows_x: list[np.ndarray] = []
     rows_y: list[np.ndarray] = []
@@ -229,7 +234,7 @@ def load_table(path, m: int, m_y: int, max_missing: float = 0.2) -> FuncDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader):
-            if lineno == 0 and row and not _is_number(row[1] if len(row) > 1 else ""):
+            if lineno == 0 and any(c.strip() and not _is_number(c) for c in row[1:]):
                 continue  # header
             if not row:
                 continue
@@ -237,9 +242,7 @@ def load_table(path, m: int, m_y: int, max_missing: float = 0.2) -> FuncDataset:
                 raise ValueError(
                     f"line {lineno + 1}: expected {expected} columns, got {len(row)}"
                 )
-            cells = np.array(
-                [float(c) if c.strip() != "" else np.nan for c in row[1:]]
-            )
+            cells = np.array([_cell(c, lineno) for c in row[1:]])
             n_missing = int(np.isnan(cells).sum())
             if n_missing > max_missing * cells.size:
                 continue
@@ -254,6 +257,19 @@ def load_table(path, m: int, m_y: int, max_missing: float = 0.2) -> FuncDataset:
     x = np.stack(rows_x)[:, None, :]
     y = np.stack(rows_y)
     return FuncDataset(x, y, Grid(m), Grid(m_y))
+
+
+def _cell(text: str, lineno: int) -> float:
+    """A finite value, or nan for an empty (missing) cell."""
+    if not text.strip():
+        return np.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"line {lineno + 1}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno + 1}: non-finite value {text!r}")
+    return value
 
 
 def _is_number(cell: str) -> bool:

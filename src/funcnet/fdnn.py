@@ -17,6 +17,7 @@ finite differences of that loss reproduce them to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +56,26 @@ class FdnnLayer:
         self.activation = activation
 
 
+class _ForwardCache(list):
+    """Per-layer ``(h_in, a)`` pairs of one forward pass.
+
+    The arrays live in the network's scratch space, so the cache is
+    valid only until the next :meth:`FdnnNetwork.forward` on that
+    network; ``stamp`` tells :meth:`FdnnNetwork.backward` which of the
+    network's passes made it.
+    """
+
+    __slots__ = ("stamp",)
+
+
 class FdnnNetwork:
-    """Continuous hidden layers plus a single identity output neuron."""
+    """Continuous hidden layers plus a single identity output neuron.
+
+    The passes below write their intermediate arrays into scratch arrays
+    the network keeps between calls, each grown to the largest batch
+    seen, instead of allocating fresh ones.  Predictions and gradients
+    handed back are always new arrays that belong to the caller.
+    """
 
     kind = "fdnn"
 
@@ -73,10 +92,34 @@ class FdnnNetwork:
         self.layers = layers
         self.input_grid = input_grid
         self.input_count = input_count
+        self._scratch: dict = {}
+        self._forwards = 0  # stamps each forward cache
 
     @property
     def output_grid(self) -> Grid:
         return self.layers[-1].out_grid
+
+    def _buffer(self, name, shape) -> np.ndarray:
+        """The leading part of scratch array ``name``, viewed with ``shape``."""
+        size = math.prod(shape)
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size:
+            buf = self._scratch[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _weights(self, layer: FdnnLayer, axes) -> np.ndarray:
+        """layer.w with its axes reordered to ``axes``, as a 2-D matrix
+        whose rows run over the first two of them."""
+        w = layer.w.transpose(axes)
+        wt = self._buffer("wt", w.shape)
+        np.copyto(wt, w)
+        return wt.reshape(w.shape[0] * w.shape[1], -1)
+
+    def _affine(self, layer: FdnnLayer, hq, a):
+        """a = b + the quadrature contraction of w against hq = h * q."""
+        n = hq.shape[0]
+        np.dot(hq.reshape(n, -1), self._weights(layer, (1, 3, 0, 2)), out=a.reshape(n, -1))
+        a += layer.b
 
     # ------------------------------------------------------------------
     # evaluation
@@ -96,19 +139,42 @@ class FdnnNetwork:
 
         Returns ``(pred, cache)`` where pred has shape (n, output_m) and
         cache holds, per layer, the incoming curves and pre-activations
-        needed by :meth:`backward`.
+        needed by :meth:`backward`.  The cache is valid until the next
+        ``forward`` on this network.
         """
         h = self._check_input(x)
-        cache = []
-        for layer in self.layers:
-            hq = h * layer.in_grid.trapezoid_weights
-            a = np.tensordot(hq, layer.w, axes=([1, 2], [1, 3])) + layer.b
+        n = h.shape[0]
+        cache = _ForwardCache()
+        last = len(self.layers) - 1
+        for idx, layer in enumerate(self.layers):
+            hq = self._buffer("hq", h.shape)
+            np.multiply(h, layer.in_grid.trapezoid_weights, out=hq)
+            a = self._buffer(("a", idx), (n, layer.out_count, layer.out_grid.m))
+            self._affine(layer, hq, a)
             cache.append((h, a))
-            h = layer.activation(a)
+            h = np.empty(a.shape) if idx == last else self._buffer(("h", idx + 1), a.shape)
+            layer.activation(a, out=h)
+        self._forwards += 1
+        cache.stamp = self._forwards
         return h[:, 0, :], cache
 
     def predict(self, x):
-        return self.forward(x)[0]
+        """Predictions for x, without keeping a cache for :meth:`backward`."""
+        h = self._check_input(x)
+        n = h.shape[0]
+        last = len(self.layers) - 1
+        for idx, layer in enumerate(self.layers):
+            q = layer.in_grid.trapezoid_weights
+            if idx == 0:  # x is the caller's
+                hq = np.multiply(h, q, out=self._buffer("hq", h.shape))
+            else:  # h is the previous layer's output, no longer needed
+                hq = h
+                hq *= q
+            shape = (n, layer.out_count, layer.out_grid.m)
+            a = np.empty(shape) if idx == last else self._buffer(("p", idx % 2), shape)
+            self._affine(layer, hq, a)
+            h = layer.activation(a, out=a)
+        return h[:, 0, :]
 
     def backward(self, cache, residuals):
         """Gradients of the discretized batch loss given residuals yhat - y.
@@ -118,28 +184,40 @@ class FdnnNetwork:
         and act'(a(s)) H_in(t) for weight surfaces; across layers the
         adjoint contracts the weight surface against the downstream
         sensitivity with the incoming grid's quadrature weights.
+
+        ``cache`` must come from this network's most recent
+        :meth:`forward`; an older one raises ValueError.
         """
+        if getattr(cache, "stamp", None) != self._forwards:
+            raise ValueError("stale cache: backward needs this network's latest forward")
         n = residuals.shape[0]
         if len(cache) != len(self.layers) or cache[0][0].shape[0] != n:
             raise ValueError("cache does not match this network/batch")
         qy = self.output_grid.trapezoid_weights
         delta_h = (2.0 / n) * residuals * qy  # d loss / d prediction values
-        delta_a = None
+        last = len(self.layers) - 1
+        a = cache[last][1]
+        delta_a = self.layers[last].activation.deriv(a, out=self._buffer("delta", a.shape))
+        delta_a *= delta_h[:, None, :]
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
-        for idx in range(len(self.layers) - 1, -1, -1):
+        for idx in range(last, -1, -1):
             layer = self.layers[idx]
-            h_in, a = cache[idx]
-            if delta_a is None:
-                delta_a = delta_h[:, None, :] * layer.activation.deriv(a)
+            h_in = cache[idx][0]
+            q = layer.in_grid.trapezoid_weights
             grads[2 * idx] = delta_a.sum(axis=0)
-            hq = h_in * layer.in_grid.trapezoid_weights
-            gw = np.tensordot(delta_a, hq, axes=([0], [0]))  # (K, out_m, J, in_m)
-            grads[2 * idx + 1] = gw.transpose(0, 2, 1, 3)
+            hq = np.multiply(h_in, q, out=self._buffer("hq", h_in.shape))
+            gw = np.dot(delta_a.reshape(n, -1).T, hq.reshape(n, -1))
+            k, j, s, t = layer.w.shape
+            grads[2 * idx + 1] = gw.reshape(k, s, j, t).transpose(0, 2, 1, 3)
             if idx > 0:
-                dh = np.tensordot(delta_a, layer.w, axes=([1, 2], [0, 2]))
-                dh *= layer.in_grid.trapezoid_weights
+                dh = hq  # h_in * q has been used; its space takes dh
+                np.dot(delta_a.reshape(n, -1), self._weights(layer, (0, 2, 1, 3)),
+                       out=dh.reshape(n, -1))
+                dh *= q
                 prev = self.layers[idx - 1]
-                delta_a = dh * prev.activation.deriv(cache[idx - 1][1])
+                delta_a = prev.activation.deriv(cache[idx - 1][1],
+                                                out=self._buffer("delta", dh.shape))
+                delta_a *= dh
         return grads
 
     # ------------------------------------------------------------------
@@ -176,22 +254,36 @@ class FdnnNetwork:
             qs = layer.out_grid.trapezoid_weights
             qt = layer.in_grid.trapezoid_weights
             if lam_b > 0.0:
-                d2b = second_diff(layer.b, hs, axis=1)
-                value += lam_b * float(np.sum(d2b * d2b * qs))
-                grads.append(2.0 * lam_b * second_diff_adjoint(qs * d2b, hs, axis=1))
+                value += self._roughness(layer.b, ((1, hs),), qs, lam_b, grads)
             else:
                 grads.append(np.zeros_like(layer.b))
             if lam_w > 0.0:
-                lap = second_diff(layer.w, hs, axis=2) + second_diff(layer.w, ht, axis=3)
                 quad = qs[:, None] * qt[None, :]
-                value += lam_w * float(np.sum(lap * lap * quad))
-                u = quad * lap
-                gw = second_diff_adjoint(u, hs, axis=2)
-                gw += second_diff_adjoint(u, ht, axis=3)
-                grads.append(2.0 * lam_w * gw)
+                value += self._roughness(layer.w, ((2, hs), (3, ht)), quad, lam_w, grads)
             else:
                 grads.append(np.zeros_like(layer.w))
         return value, grads
+
+    def _roughness(self, f, steps, quad, lam: float, grads: list) -> float:
+        """lam * sum(quad * (D f)^2), appending its gradient to ``grads``.
+
+        D f sums the second differences of f along each ``(axis, h)`` of
+        ``steps``; the gradient is 2 lam D^T (quad * D f).
+        """
+        d, tmp, adj = (self._buffer(("pen", i), f.shape) for i in range(3))
+        (axis, h), *rest = steps
+        second_diff(f, h, axis=axis, out=d)
+        for other, h_other in rest:
+            d += second_diff(f, h_other, axis=other, out=tmp)
+        np.multiply(d, d, out=tmp)
+        tmp *= quad
+        value = lam * float(np.sum(tmp))
+        u = np.multiply(quad, d, out=tmp)
+        second_diff_adjoint(u, h, axis=axis, out=adj)
+        for other, h_other in rest:
+            adj += second_diff_adjoint(u, h_other, axis=other, out=d)
+        grads.append(2.0 * lam * adj)
+        return value
 
     # ------------------------------------------------------------------
     # serialization

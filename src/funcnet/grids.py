@@ -98,37 +98,55 @@ def trapezoid(f: GridFunction) -> float:
     return float(f.grid.trapezoid_weights @ f.values)
 
 
-def second_diff(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
+def second_diff(values: np.ndarray, h: float, axis: int = -1, out=None) -> np.ndarray:
     """Central second difference along ``axis``, zero at both endpoints.
 
     Interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2.  Exact for quadratics.
+    The result goes to ``out`` (same shape as ``values``, not overlapping
+    it) when given, else to a new array.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[axis] < 3:
         raise ValueError("need at least 3 points for a second difference")
+    if out is None:
+        out = np.empty(values.shape)
     v = np.moveaxis(values, axis, -1)
-    out = np.zeros_like(v)
-    out[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / (h * h)
-    return np.moveaxis(out, -1, axis)
+    o = np.moveaxis(out, axis, -1)
+    inner = o[..., 1:-1]
+    np.multiply(v[..., 1:-1], 2.0, out=inner)
+    np.subtract(v[..., :-2], inner, out=inner)
+    inner += v[..., 2:]
+    inner /= h * h
+    o[..., 0] = 0.0
+    o[..., -1] = 0.0
+    return out
 
 
-def second_diff_adjoint(u: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
+def second_diff_adjoint(u: np.ndarray, h: float, axis: int = -1, out=None) -> np.ndarray:
     """Transpose of :func:`second_diff` under the standard inner product.
 
     Needed to form exact gradients of quadratic roughness penalties:
-    for J(f) = ||W D f||^2 the gradient is 2 D^T (W^2 D f).
+    for J(f) = ||W D f||^2 the gradient is 2 D^T (W^2 D f).  ``out`` is
+    used as in :func:`second_diff`.
     """
     u = np.asarray(u, dtype=float)
-    v = np.moveaxis(u, axis, -1).copy()
-    # rows 0 and m-1 of the forward operator are identically zero
-    v[..., 0] = 0.0
-    v[..., -1] = 0.0
-    out = np.zeros_like(v)
-    out -= 2.0 * v
-    out[..., :-1] += v[..., 1:]
-    out[..., 1:] += v[..., :-1]
-    out /= h * h
-    return np.moveaxis(out, -1, axis)
+    if out is None:
+        out = np.empty(u.shape)
+    # rows 0 and m-1 of the forward operator are identically zero, so only
+    # u's interior enters: out[i] = ((0 - 2 u[i]) + u[i+1] + u[i-1]) / h^2
+    # with u[0] = u[m-1] = 0, summed in that order so that fitted results
+    # repeat bit for bit
+    v = np.moveaxis(u, axis, -1)[..., 1:-1]
+    o = np.moveaxis(out, axis, -1)
+    o[..., 0] = 0.0
+    o[..., -1] = 0.0
+    inner = o[..., 1:-1]
+    np.multiply(v, 2.0, out=inner)
+    np.subtract(0.0, inner, out=inner)
+    o[..., :-2] += v
+    o[..., 2:] += v
+    o /= h * h
+    return out
 
 
 def second_derivative(f: GridFunction) -> GridFunction:

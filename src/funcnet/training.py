@@ -67,21 +67,37 @@ class Adam:
         self.t = 0
         self._m = None
         self._v = None
+        self._scratch = None
 
     def step(self, params, grads):
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            size = max(p.size for p in params)
+            self._scratch = (np.empty(size), np.empty(size))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self._m, self._v):
+            s1, s2 = (s[:p.size].reshape(p.shape) for s in self._scratch)
+            # the operations follow the commented expressions term by term,
+            # so updates repeat bit for bit
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=s1)
             v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.step_size * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            np.multiply(g, 1.0 - b2, out=s1)
+            s1 *= g
+            v += s1
+            # p -= step_size * (m / correct1) / (sqrt(v / correct2) + eps)
+            np.divide(m, correct1, out=s1)
+            s1 *= self.step_size
+            np.divide(v, correct2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p -= s1
 
 
 class PlainGradient:

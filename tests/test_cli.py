@@ -264,6 +264,21 @@ def test_benchmark_rejects_unknown_model(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+def test_benchmark_rejects_penalised_vnn_before_generating_data(tmp_path, capsys,
+                                                               monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("data generated before the usage check")
+
+    monkeypatch.setattr(datagen, "generate", generate)
+    for flag in ("--lam", "--lam-b", "--lam-w"):
+        out = tmp_path / flag.strip("-")
+        code = run("benchmark", "--scenarios", "linear", "--models", "fflm,vnn",
+                   flag, "0.01", "--out", out, *BENCH_FAST)
+        assert code == 1
+        assert "vnn" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # --------------------------------------------------------------- gradcheck
 
 

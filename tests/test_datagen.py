@@ -305,7 +305,43 @@ def test_headerless_table_is_accepted(tmp_path):
     npt.assert_allclose(back.x[1, 0], [5.0, 6.0])
 
 
+def test_headerless_table_with_blank_first_cell_keeps_every_row(tmp_path):
+    path = tmp_path / "plain.csv"
+    rows = [f"{i},{'' if i == 0 else i}," + ",".join(["1.0"] * 9) for i in range(5)]
+    path.write_text("\n".join(rows) + "\n")
+    back = load_table(path, m=5, m_y=5)
+    assert back.n == 5
+    npt.assert_allclose(back.x[0, 0], 1.0)  # the blank x0 is filled, not a header
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+def test_load_table_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,x0,x1,y0,y1\n0,1.0,2.0,3.0,4.0\n1,5.0,{cell},7.0,8.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_table(path, m=2, m_y=2)
+
+
+def test_load_table_names_the_line_of_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,x0,x1,y0,y1\n0,1.0,2.0,3.0,4.0\n1,5.0,6.0,seven,8.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_table(path, m=2, m_y=2)
+
+
 # ------------------------------------------------------------------ dataset
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_dataset_rejects_non_finite_curves(value):
+    g10, g5 = Grid(10), Grid(5)
+    x, y = np.zeros((4, 1, 10)), np.zeros((4, 5))
+    x[2, 0, 3] = value
+    with pytest.raises(ValueError, match="finite"):
+        FuncDataset(x, y, g10, g5)
+    y[1, 4] = value
+    with pytest.raises(ValueError, match="finite"):
+        FuncDataset(np.zeros((4, 1, 10)), y, g10, g5)
 
 
 def test_dataset_validation_and_subset():

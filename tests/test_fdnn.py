@@ -208,3 +208,91 @@ def test_training_reduces_loss_on_learnable_target():
     train_fixed(net, x, y, 60, TrainConfig(step_size=1e-2))
     after = quadratic_loss(net.predict(x), y, g_out)
     assert after < 0.5 * before
+
+
+# ------------------------------------------------------------------
+# scratch buffers: what the network hands back stays the caller's
+# ------------------------------------------------------------------
+
+
+def test_predictions_survive_later_predicts():
+    net = small_net(seed=14)
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(7, 1, 10)), rng.normal(size=(7, 1, 10))
+    p1 = net.predict(a)
+    kept = p1.copy()
+    net.predict(b)
+    net.forward(b)
+    npt.assert_array_equal(p1, kept)
+
+
+def test_gradients_survive_later_predicts_and_penalties():
+    net = small_net(seed=15)
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(6, 1, 10)), rng.normal(size=(6, 8))
+    pred, cache = net.forward(x)
+    grads = net.backward(cache, pred - y)
+    _, pen_grads = net.penalty(0.5, 0.5)
+    kept = [g.copy() for g in grads + pen_grads]
+    net.predict(rng.normal(size=(9, 1, 10)))
+    net.penalty(2.0, 3.0)
+    for g, k in zip(grads + pen_grads, kept):
+        npt.assert_array_equal(g, k)
+
+
+def test_backward_rejects_a_stale_cache():
+    net = small_net(seed=16)
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=(4, 1, 10)), rng.normal(size=(4, 8))
+    pred, cache = net.forward(x)
+    net.predict(x)  # predict keeps the cache valid
+    net.backward(cache, pred - y)
+    net.forward(x)
+    with pytest.raises(ValueError, match="stale"):
+        net.backward(cache, pred - y)
+    with pytest.raises(ValueError, match="stale"):
+        small_net(seed=16).backward(net.forward(x)[1], pred - y)
+
+
+def test_mixed_batch_sizes_match_loop_oracle():
+    net = small_net(seed=17, activation="relu")
+    rng = np.random.default_rng(8)
+    for n in (500, 100, 500):
+        x = rng.normal(size=(n, 1, 10))
+        expected = loop_forward(net, x)
+        npt.assert_allclose(net.predict(x), expected, rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(net.forward(x)[0], expected, rtol=1e-12, atol=1e-14)
+
+
+def _padded_second_diff(values, h, axis):
+    """Zero-padded central second difference, written out directly."""
+    v = np.moveaxis(values, axis, -1)
+    out = np.zeros_like(v)
+    out[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / (h * h)
+    return np.moveaxis(out, -1, axis)
+
+
+def test_penalty_matches_dense_operator_oracle():
+    net = small_net(seed=18)
+    lam_b, lam_w = 0.7, 1.3
+    value, grads = net.penalty(lam_b, lam_w)
+    expected_value = 0.0
+    for idx, layer in enumerate(net.layers):
+        hs, ht = layer.out_grid.h, layer.in_grid.h
+        qs, qt = layer.out_grid.trapezoid_weights, layer.in_grid.trapezoid_weights
+        ds = _padded_second_diff(np.eye(layer.out_grid.m), hs, axis=0)  # D e_j in column j
+        dt = _padded_second_diff(np.eye(layer.in_grid.m), ht, axis=0)
+
+        d2b = _padded_second_diff(layer.b, hs, axis=1)
+        expected_value += lam_b * np.sum(d2b * d2b * qs)
+        npt.assert_allclose(grads[2 * idx], 2.0 * lam_b * (qs * d2b) @ ds,
+                            rtol=1e-12, atol=1e-12)
+
+        lap = (_padded_second_diff(layer.w, hs, axis=2)
+               + _padded_second_diff(layer.w, ht, axis=3))
+        quad = qs[:, None] * qt[None, :]
+        expected_value += lam_w * np.sum(lap * lap * quad)
+        u = quad * lap
+        gw = np.einsum("ia,kjit->kjat", ds, u) + np.einsum("kjsi,ia->kjsa", u, dt)
+        npt.assert_allclose(grads[2 * idx + 1], 2.0 * lam_w * gw, rtol=1e-12, atol=1e-9)
+    npt.assert_allclose(value, expected_value, rtol=1e-12)
