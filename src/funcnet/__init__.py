@@ -11,13 +11,13 @@ stopping strategies, smoothing-parameter tuning, gradient checks).
 
 from . import activations, baselines, bsplines, datagen, fbnn, fdnn, gp, grids, training
 from .activations import Activation
-from .baselines import FflmModel, VectorNN, fflm_fit, fflm_tune_lambda, vnn_fit, vnn_init, vnn_predict
-from .bsplines import BSplineBasis, basis_functional, bspline_design, curvature_penalty_matrix, laplacian_penalty_matrix
+from .baselines import FflmModel, VectorNN, fflm_fit, fflm_tune_lambda, vnn_init
+from .bsplines import BSplineBasis, curvature_penalty_matrix, laplacian_penalty_matrix
 from .datagen import FuncDataset, Scenario, SplitSpec, generate, load_table, noiseless_response, save_table, split
 from .fbnn import FbnnConfig, FbnnLayer, FbnnNetwork, expand_to_direct
 from .fdnn import FdnnConfig, FdnnLayer, FdnnNetwork
 from .gp import MaternParams, gp_sample, matern_cov, matern_cov_matrix
-from .grids import Grid, GridFunction, GridSurface, laplacian, resample_linear, second_derivative, trapezoid
+from .grids import Grid
 from .training import (
     Adam,
     CvResult,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
+from . import training
 from .activations import Activation
 from .bsplines import BSplineBasis, laplacian_penalty_matrix
 from .grids import Grid
@@ -186,10 +187,7 @@ def fflm_tune_lambda(data, lam_grid, k: int = 5, seed: int = 0,
         raise ValueError("lambda grid is empty")
     if k < 2 or k > data.n:
         raise ValueError(f"need 2 <= k <= {data.n}")
-    from .training import quadratic_loss
-
-    perm = np.random.default_rng(seed).permutation(data.n)
-    folds = [np.sort(part) for part in np.array_split(perm, k)]
+    folds = training._kfold_indices(data.n, k, np.random.default_rng(seed))
     best_lam, best_score = None, np.inf
     for lam in lams:
         scores = []
@@ -201,7 +199,7 @@ def fflm_tune_lambda(data, lam_grid, k: int = 5, seed: int = 0,
                 lam=lam, order=order,
             )
             pred = model.predict(data.x[val_idx])
-            scores.append(quadratic_loss(pred, data.y[val_idx], data.y_grid))
+            scores.append(training.quadratic_loss(pred, data.y[val_idx], data.y_grid))
         score = float(np.mean(scores))
         if score <= best_score:
             best_score, best_lam = score, lam
@@ -335,18 +333,3 @@ def vnn_init(input_count: int, m: int, m_y: int, hidden=(128, 128),
     return VectorNN(weights, biases, input_count, Grid(m), Grid(m_y),
                     Activation(activation))
 
-
-def vnn_fit(train, val, input_count: int, m: int, m_y: int, hidden=(128, 128),
-            activation: str = "tanh", cfg=None, seed=0):
-    """Train a fresh vector net with early stopping; returns (model, FitResult)."""
-    from .training import TrainConfig, train_early_stopping
-
-    if cfg is None:
-        cfg = TrainConfig()
-    model = vnn_init(input_count, m, m_y, hidden, activation, seed)
-    result = train_early_stopping(model, train, val, cfg)
-    return model, result
-
-
-def vnn_predict(model: VectorNN, x) -> np.ndarray:
-    return model.predict(x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .grids import Grid, GridFunction
+from .grids import Grid
 
 # Refined grid used for Gram-matrix quadrature.  Products of basis
 # derivatives are only piecewise smooth, so the integration grid is made
@@ -88,17 +88,6 @@ class BSplineBasis:
 
     def __repr__(self):
         return f"BSplineBasis(num_basis={self.num_basis}, order={self.order})"
-
-
-def bspline_design(basis: BSplineBasis, grid: Grid) -> np.ndarray:
-    """Design matrix of the basis on a grid (grid.m x num_basis)."""
-    return basis.design(grid.points)
-
-
-def basis_functional(basis: BSplineBasis, f: GridFunction) -> np.ndarray:
-    """Vector of integrals of each basis function against f (trapezoid)."""
-    design = basis.design(f.grid.points)
-    return design.T @ (f.grid.trapezoid_weights * f.values)
 
 
 def curvature_penalty_matrix(basis: BSplineBasis) -> np.ndarray:

@@ -46,67 +46,39 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment; keys use underscores."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected true/false, 1/0, yes/no or on/off, got {text!r}")
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict):
-    """Fill still-unset options from the config file, then hard defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-    for key, (cast, default) in parser_defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in file_cfg:
-            raw = file_cfg[key]
-            try:
-                setattr(args, key, cast(raw))
-            except (TypeError, ValueError) as exc:
-                raise _UsageError(f"config value {key}={raw!r}: {exc}") from exc
-        else:
-            setattr(args, key, default)
-    return args
-
-
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
-
-
-# (cast, hard default) per option, shared by flag parsing and config files
+# Every option of a subcommand, in --help order: key -> (cast, hard
+# default[, choices]).  The flags, their config-file keys and the checks
+# on both come from here.
 _COMMON = {
     "seed": (int, 0),
     "out": (str, "runs"),
 }
+_FIRST_TERMS = ("as_printed", "s")
 _SIM_DEFAULTS = {
-    **_COMMON,
-    "scenario": (str, "linear"),
-    "first_term": (str, "as_printed"),
+    "scenario": (str, "linear", datagen.SCENARIOS),
+    "first_term": (str, "as_printed", _FIRST_TERMS),
     "n": (int, 1100),
     "m": (int, 100),
     "m_y": (int, 75),
     "sigma2": (float, 1.0),
     "rho": (float, 0.5),
     "nu": (float, 2.5),
+    **_COMMON,
 }
 _TRAIN_DEFAULTS = {
     "step_size": (float, 1e-2),
     "max_iterations": (int, 2000),
     "patience": (float, 100),
-    "optimizer": (str, "adam"),
+    "optimizer": (str, "adam", training.OPTIMIZERS),
     "batch_size": (int, None),
     "lam": (float, None),
     "lam_b": (float, 0.0),
@@ -120,132 +92,113 @@ _ARCH_DEFAULTS = {
     "activation": (str, "tanh"),
 }
 _FIT_DEFAULTS = {
-    **_COMMON,
-    **_TRAIN_DEFAULTS,
-    **_ARCH_DEFAULTS,
     "data": (str, None),
     "m": (int, None),
     "m_y": (int, None),
-    "model": (str, "fdnn"),
-    "mode": (str, "early-stopping"),
-    "cv_strategy": (str, "mean"),
+    "model": (str, "fdnn", MODELS),
+    "mode": (str, "early-stopping", ("early-stopping", "cv", "fixed")),
+    "cv_strategy": (str, "mean", training.ES_STRATEGIES),
     "folds": (int, 5),
     "iterations": (int, 1000),
+    **_ARCH_DEFAULTS,
+    **_TRAIN_DEFAULTS,
     "lam_grid": (_float_list, None),
     "n_train": (int, None),
     "n_val": (int, None),
     "n_test": (int, None),
     "split_seed": (int, 0),
+    **_COMMON,
 }
 _BENCH_DEFAULTS = {
-    **_COMMON,
-    **_TRAIN_DEFAULTS,
-    **_ARCH_DEFAULTS,
     "scenarios": (_str_list, ("linear",)),
     "models": (_str_list, ("fdnn",)),
     "replicates": (int, 10),
     "n": (int, 1100),
     "m": (int, 100),
     "m_y": (int, 75),
-    "first_term": (str, "as_printed"),
+    "first_term": (str, "as_printed", _FIRST_TERMS),
+    **_ARCH_DEFAULTS,
+    **_TRAIN_DEFAULTS,
     "workers": (int, 1),
     "write_params": (_bool, True),
+    **_COMMON,
 }
 _GRADCHECK_DEFAULTS = {
-    **_COMMON,
     "eps": (float, 1e-5),
     "tolerance": (float, 1e-4),
+    **_COMMON,
     "corrupt": (_bool, False),
 }
+_COMMANDS = {
+    "simulate": ("generate a scenario dataset CSV", _SIM_DEFAULTS),
+    "fit": ("train one model on a dataset CSV", _FIT_DEFAULTS),
+    "benchmark": ("scenario x model RMSE comparison", _BENCH_DEFAULTS),
+    "gradcheck": ("finite-difference gradient audit", _GRADCHECK_DEFAULTS),
+}
+_CONFIG_KEYS = {"config"}.union(*(table for _, table in _COMMANDS.values()))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="funcnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(sp, flag, **kw):
-        sp.add_argument(flag, default=None, **kw)
-
-    sim = sub.add_parser("simulate", help="generate a scenario dataset CSV")
-    add(sim, "--config")
-    add(sim, "--scenario", choices=datagen.SCENARIOS)
-    add(sim, "--first-term", choices=("as_printed", "s"))
-    add(sim, "--n", type=int)
-    add(sim, "--m", type=int)
-    add(sim, "--m-y", type=int)
-    add(sim, "--sigma2", type=float)
-    add(sim, "--rho", type=float)
-    add(sim, "--nu", type=float)
-    add(sim, "--seed", type=int)
-    add(sim, "--out")
-
-    fit = sub.add_parser("fit", help="train one model on a dataset CSV")
-    add(fit, "--config")
-    add(fit, "--data")
-    add(fit, "--m", type=int)
-    add(fit, "--m-y", type=int)
-    add(fit, "--model", choices=MODELS)
-    add(fit, "--mode", choices=("early-stopping", "cv", "fixed"))
-    add(fit, "--cv-strategy", choices=training.ES_STRATEGIES)
-    add(fit, "--folds", type=int)
-    add(fit, "--iterations", type=int)
-    add(fit, "--neurons", type=_int_list)
-    add(fit, "--grid-points", type=_int_list)
-    add(fit, "--num-basis", type=int)
-    add(fit, "--hidden", type=_int_list)
-    add(fit, "--activation")
-    add(fit, "--step-size", type=float)
-    add(fit, "--max-iterations", type=int)
-    add(fit, "--patience", type=float)
-    add(fit, "--optimizer", choices=training.OPTIMIZERS)
-    add(fit, "--batch-size", type=int)
-    add(fit, "--lam", type=float)
-    add(fit, "--lam-b", type=float)
-    add(fit, "--lam-w", type=float)
-    add(fit, "--lam-grid", type=_float_list)
-    add(fit, "--n-train", type=int)
-    add(fit, "--n-val", type=int)
-    add(fit, "--n-test", type=int)
-    add(fit, "--split-seed", type=int)
-    add(fit, "--seed", type=int)
-    add(fit, "--out")
-
-    bench = sub.add_parser("benchmark", help="scenario x model RMSE comparison")
-    add(bench, "--config")
-    add(bench, "--scenarios", type=_str_list)
-    add(bench, "--models", type=_str_list)
-    add(bench, "--replicates", type=int)
-    add(bench, "--n", type=int)
-    add(bench, "--m", type=int)
-    add(bench, "--m-y", type=int)
-    add(bench, "--first-term", choices=("as_printed", "s"))
-    add(bench, "--neurons", type=_int_list)
-    add(bench, "--grid-points", type=_int_list)
-    add(bench, "--num-basis", type=int)
-    add(bench, "--hidden", type=_int_list)
-    add(bench, "--activation")
-    add(bench, "--step-size", type=float)
-    add(bench, "--max-iterations", type=int)
-    add(bench, "--patience", type=float)
-    add(bench, "--optimizer", choices=training.OPTIMIZERS)
-    add(bench, "--batch-size", type=int)
-    add(bench, "--lam", type=float)
-    add(bench, "--lam-b", type=float)
-    add(bench, "--lam-w", type=float)
-    add(bench, "--workers", type=int)
-    add(bench, "--write-params", type=_bool)
-    add(bench, "--seed", type=int)
-    add(bench, "--out")
-
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    add(gc, "--config")
-    add(gc, "--eps", type=float)
-    add(gc, "--tolerance", type=float)
-    add(gc, "--seed", type=int)
-    add(gc, "--out")
-    gc.add_argument("--corrupt", action="store_const", const=True, default=None,
-                    help=argparse.SUPPRESS)
+    for command, (help_text, table) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", default=None)
+        for key, (cast, _, *choices) in table.items():
+            if key == "corrupt":  # hidden switch for testing the audit itself
+                sp.add_argument("--corrupt", action="store_const", const=True,
+                                default=None, help=argparse.SUPPRESS)
+                continue
+            sp.add_argument("--" + key.replace("_", "-"), default=None,
+                            type=cast, choices=choices[0] if choices else None)
     return parser
+
+
+def _read_config_file(path: str) -> dict:
+    """Flat key=value text; '#' starts a comment; keys use underscores.
+
+    Returns key -> (value text, line number).  A key that is not an
+    option of any subcommand is an error, so one file can serve several
+    subcommands but a misspelt key is not silently ignored.
+    """
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            key, value = line.split("=", 1)
+            key = key.strip().replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise _UsageError(f"{path}:{lineno}: unknown option {key!r}")
+            values[key] = (value.strip(), lineno)
+    return values
+
+
+def _apply_config_file(args: argparse.Namespace, table: dict):
+    """Fill still-unset options from the config file, then hard defaults.
+
+    File values go through the same cast and choices check as the flags.
+    """
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    for key, (cast, default, *choices) in table.items():
+        if getattr(args, key) is not None:
+            continue
+        if key not in file_cfg:
+            setattr(args, key, default)
+            continue
+        raw, lineno = file_cfg[key]
+        try:
+            value = cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"{args.config}:{lineno}: {key} = {raw!r}: {exc}") from exc
+        if choices and value not in choices[0]:
+            raise _UsageError(f"{args.config}:{lineno}: {key} = {raw!r}: choose from "
+                              f"{', '.join(choices[0])}")
+        setattr(args, key, value)
+    return args
 
 
 def _write_json(path, doc):
@@ -357,6 +310,27 @@ def _rmse_of(model, part) -> float:
     return training.rmse(model.predict(part.x), part.y, part.y_grid)
 
 
+def _merge(train, val) -> datagen.FuncDataset:
+    return datagen.FuncDataset(
+        np.concatenate([train.x, val.x]),
+        np.concatenate([train.y, val.y]),
+        train.x_grid,
+        train.y_grid,
+    )
+
+
+def _fit_fflm(merged, args, lam_grid=None):
+    """Closed-form linear fit (λ tuned by k-fold CV over ``lam_grid`` if given)."""
+    bases = dict(num_intercept_basis=args.num_basis,
+                 num_pred_basis=args.num_basis,
+                 num_resp_basis=args.num_basis)
+    lam = args.lam if args.lam is not None else args.lam_w
+    if lam_grid:
+        lam = baselines.fflm_tune_lambda(merged, lam_grid, k=args.folds,
+                                         seed=args.seed, **bases)
+    return baselines.fflm_fit(merged, lam=lam, **bases), lam
+
+
 def cmd_fit(args) -> int:
     if not args.data:
         raise _UsageError("fit requires --data PATH")
@@ -372,62 +346,37 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cfg = _train_config(args)
     input_count = data.x.shape[1]
+    merged = _merge(train, val)  # what every mode but early stopping fits on
+
+    def factory(seed):
+        return _build_network(args.model, m, m_y, input_count, args, seed)
 
     history = None
     extra: dict = {}
     if args.model == "fflm":
-        # the linear model needs no validation set: fit on train + val
-        merged = datagen.FuncDataset(
-            np.concatenate([train.x, val.x]),
-            np.concatenate([train.y, val.y]),
-            data.x_grid,
-            data.y_grid,
-        )
-        lam = args.lam if args.lam is not None else args.lam_w
+        # the linear model needs no validation set
+        model, lam = _fit_fflm(merged, args, args.lam_grid)
         if args.lam_grid:
-            lam = baselines.fflm_tune_lambda(
-                merged, args.lam_grid, k=args.folds, seed=args.seed,
-                num_intercept_basis=args.num_basis,
-                num_pred_basis=args.num_basis,
-                num_resp_basis=args.num_basis,
-            )
             extra["tuned_lam"] = lam
-        model = baselines.fflm_fit(
-            merged,
-            num_intercept_basis=args.num_basis,
-            num_pred_basis=args.num_basis,
-            num_resp_basis=args.num_basis,
-            lam=lam,
-        )
     else:
         if args.lam_grid:
-            factory = lambda seed: _build_network(  # noqa: E731
-                args.model, m, m_y, input_count, args, seed
-            )
             lam_b, lam_w = training.tune_lambda(
                 factory, (train.x, train.y), args.lam_grid, k=args.folds, cfg=cfg
             )
             cfg = cfg.replace(lam_b=lam_b, lam_w=lam_w)
             extra["tuned_lam_b"] = lam_b
             extra["tuned_lam_w"] = lam_w
-        model = _build_network(args.model, m, m_y, input_count, args, args.seed)
+        model = factory(args.seed)
         if args.mode == "early-stopping":
             history = training.train_early_stopping(
                 model, (train.x, train.y), (val.x, val.y), cfg
             )
         elif args.mode == "fixed":
-            merged_x = np.concatenate([train.x, val.x])
-            merged_y = np.concatenate([train.y, val.y])
-            history = training.train_fixed(model, merged_x, merged_y,
+            history = training.train_fixed(model, merged.x, merged.y,
                                            args.iterations, cfg)
         else:
-            factory = lambda seed: _build_network(  # noqa: E731
-                args.model, m, m_y, input_count, args, seed
-            )
-            merged_x = np.concatenate([train.x, val.x])
-            merged_y = np.concatenate([train.y, val.y])
             model, cv_res = training.cv_early_stopping(
-                factory, (merged_x, merged_y), k=args.folds,
+                factory, (merged.x, merged.y), k=args.folds,
                 strategy=args.cv_strategy, cfg=cfg,
             )
             extra["cv"] = {
@@ -497,20 +446,7 @@ def _run_benchmark_task(task, args) -> dict:
     model_seed = task["model_seed"]
     kind = task["model"]
     if kind == "fflm":
-        merged = datagen.FuncDataset(
-            np.concatenate([train.x, val.x]),
-            np.concatenate([train.y, val.y]),
-            data.x_grid,
-            data.y_grid,
-        )
-        lam = args.lam if args.lam is not None else args.lam_w
-        model = baselines.fflm_fit(
-            merged,
-            num_intercept_basis=args.num_basis,
-            num_pred_basis=args.num_basis,
-            num_resp_basis=args.num_basis,
-            lam=lam,
-        )
+        model, _ = _fit_fflm(_merge(train, val), args)
     else:
         model = _build_network(kind, args.m, args.m_y, 1, args, model_seed)
         training.train_early_stopping(model, (train.x, train.y), (val.x, val.y), cfg)
@@ -578,16 +514,11 @@ def cmd_benchmark(args) -> int:
         raise _UsageError("model vnn has no roughness penalty; set --lam, --lam-b "
                           "and --lam-w to 0 or leave vnn out of --models")
     os.makedirs(args.out, exist_ok=True)
-    workers = args.workers
-    env_workers = os.environ.get("FUNCNET_WORKERS")
-    if env_workers:
-        workers = int(env_workers)
-
     tasks = _benchmark_tasks(args)
     args_dict = vars(args).copy()
     payloads = [(task, args_dict) for task in tasks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_task_wrapper, payloads))
     else:
         rows = [_task_wrapper(p) for p in payloads]
@@ -647,26 +578,6 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _penalty_fd_error(net, lam_b: float, lam_w: float, eps: float) -> float:
-    """Finite-difference audit of the roughness-penalty gradient alone."""
-    _, grads = net.penalty(lam_b, lam_w)
-    worst = 0.0
-    for param, grad in zip(net.parameters(), grads):
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for c in range(flat.size):
-            keep = flat[c]
-            flat[c] = keep + eps
-            up = net.penalty(lam_b, lam_w)[0]
-            flat[c] = keep - eps
-            down = net.penalty(lam_b, lam_w)[0]
-            flat[c] = keep
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(gflat[c]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[c] - numeric) / denom)
-    return worst
-
-
 def cmd_gradcheck(args) -> int:
     """Finite-difference audit of all backward passes on small nets.
 
@@ -709,7 +620,9 @@ def cmd_gradcheck(args) -> int:
         entry = {"loss": err_loss}
         worst = max(worst, err_loss)
         if name in ("fdnn", "fbnn"):
-            err_pen = _penalty_fd_error(net, 1.0, 1.0, args.eps)
+            err_pen = training.fd_error(lambda: net.penalty(1.0, 1.0)[0],
+                                        net.parameters(), net.penalty(1.0, 1.0)[1],
+                                        args.eps)
             entry["penalty"] = err_pen
             worst = max(worst, err_pen)
             print(f"gradcheck {name}: loss {err_loss:.3e}, penalty {err_pen:.3e}")
@@ -726,19 +639,11 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-_DEFAULTS_BY_COMMAND = {
-    "simulate": _SIM_DEFAULTS,
-    "fit": _FIT_DEFAULTS,
-    "benchmark": _BENCH_DEFAULTS,
-    "gradcheck": _GRADCHECK_DEFAULTS,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, _DEFAULTS_BY_COMMAND[args.command])
+        _apply_config_file(args, _COMMANDS[args.command][1])
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "fit":

@@ -43,61 +43,6 @@ class Grid:
         return f"Grid(m={self.m})"
 
 
-class GridFunction:
-    """A real-valued function sampled on a :class:`Grid`."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.m,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid with m={grid.m}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid function contains non-finite values")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, fn(grid.points))
-
-    def __repr__(self):
-        return f"GridFunction(m={self.grid.m})"
-
-
-class GridSurface:
-    """A bivariate function sampled on the product of two grids.
-
-    ``values[i, j]`` is the surface at ``(row_grid.points[i],
-    col_grid.points[j])``.
-    """
-
-    __slots__ = ("row_grid", "col_grid", "values")
-
-    def __init__(self, row_grid: Grid, col_grid: Grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (row_grid.m, col_grid.m):
-            raise ValueError(
-                f"values shape {values.shape} does not match grids "
-                f"({row_grid.m}, {col_grid.m})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid surface contains non-finite values")
-        self.row_grid = row_grid
-        self.col_grid = col_grid
-        self.values = values
-
-    def __repr__(self):
-        return f"GridSurface({self.row_grid.m}x{self.col_grid.m})"
-
-
-def trapezoid(f: GridFunction) -> float:
-    """Composite trapezoid approximation of the integral over [0, 1]."""
-    return float(f.grid.trapezoid_weights @ f.values)
-
-
 def second_diff(values: np.ndarray, h: float, axis: int = -1, out=None) -> np.ndarray:
     """Central second difference along ``axis``, zero at both endpoints.
 
@@ -147,29 +92,6 @@ def second_diff_adjoint(u: np.ndarray, h: float, axis: int = -1, out=None) -> np
     o[..., 2:] += v
     o /= h * h
     return out
-
-
-def second_derivative(f: GridFunction) -> GridFunction:
-    """Second derivative by central differences, zero-padded at the ends."""
-    return GridFunction(f.grid, second_diff(f.values, f.grid.h))
-
-
-def laplacian(w: GridSurface) -> GridSurface:
-    """Sum of the two directional second differences of a surface.
-
-    Each direction is zero-padded at its own boundary, so corners are
-    zero and edges carry only the tangential term.
-    """
-    d_rows = second_diff(w.values, w.row_grid.h, axis=0)
-    d_cols = second_diff(w.values, w.col_grid.h, axis=1)
-    return GridSurface(w.row_grid, w.col_grid, d_rows + d_cols)
-
-
-def resample_linear(f: GridFunction, target: Grid) -> GridFunction:
-    """Piecewise-linear resampling onto ``target``; exact at shared points."""
-    if target == f.grid:
-        return GridFunction(target, f.values.copy())
-    return GridFunction(target, np.interp(target.points, f.grid.points, f.values))
 
 
 def resample_values(values: np.ndarray, source: Grid, target: Grid) -> np.ndarray:

@@ -254,10 +254,13 @@ def train_early_stopping(model, train, val, cfg: TrainConfig) -> FitResult:
     the unpenalized train and validation losses.  After ``cfg.patience``
     iterations without a validation improvement the loop stops; the
     model is restored to (and the result reports) the best-validation
-    parameters, counting the initial state as iteration 0.
+    parameters, counting the initial state as iteration 0.  The model is
+    restored the same way before :class:`TrainingDiverged` propagates.
     """
     x_train, y_train = (np.asarray(a, dtype=float) for a in train)
     x_val, y_val = (np.asarray(a, dtype=float) for a in val)
+    if x_val.shape[0] == 0:
+        raise ValueError("early stopping needs at least one validation curve")
     grid = model.output_grid
     optimizer = _make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -270,30 +273,32 @@ def train_early_stopping(model, train, val, cfg: TrainConfig) -> FitResult:
     val_hist: list[float] = []
 
     stopping_iteration = 0
-    for i in range(1, cfg.max_iterations + 1):
-        idx = _minibatch(rng, x_train.shape[0], cfg.batch_size)
-        if idx is None:
-            _objective_step(model, x_train, y_train, cfg, optimizer, i)
-        else:
-            _objective_step(model, x_train[idx], y_train[idx], cfg, optimizer, i)
-        train_now = quadratic_loss(model.predict(x_train), y_train, grid)
-        val_now = quadratic_loss(model.predict(x_val), y_val, grid)
-        if not (np.isfinite(train_now) and np.isfinite(val_now)):
-            raise TrainingDiverged(i)
-        train_hist.append(train_now)
-        val_hist.append(val_now)
-        stopping_iteration = i
-        if val_now < best_val:
-            best_val = val_now
-            best_iteration = i
-            best_params = _copy_params(model)
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= cfg.patience:
-                break
+    try:
+        for i in range(1, cfg.max_iterations + 1):
+            idx = _minibatch(rng, x_train.shape[0], cfg.batch_size)
+            if idx is None:
+                _objective_step(model, x_train, y_train, cfg, optimizer, i)
+            else:
+                _objective_step(model, x_train[idx], y_train[idx], cfg, optimizer, i)
+            train_now = quadratic_loss(model.predict(x_train), y_train, grid)
+            val_now = quadratic_loss(model.predict(x_val), y_val, grid)
+            if not (np.isfinite(train_now) and np.isfinite(val_now)):
+                raise TrainingDiverged(i)
+            train_hist.append(train_now)
+            val_hist.append(val_now)
+            stopping_iteration = i
+            if val_now < best_val:
+                best_val = val_now
+                best_iteration = i
+                best_params = _copy_params(model)
+                since_improved = 0
+            else:
+                since_improved += 1
+                if since_improved >= cfg.patience:
+                    break
+    finally:  # on divergence too, the model keeps its best parameters
+        model.set_parameters(best_params)
 
-    model.set_parameters(best_params)
     return FitResult(
         train_loss=np.asarray(train_hist),
         val_loss=np.asarray(val_hist),
@@ -437,34 +442,17 @@ def tune_lambda(model_factory, data, lam_grid, k: int = 5,
     return best_pair
 
 
-def grad_check(model, x, y, lam_b: float = 0.0, lam_w: float = 0.0,
-               eps: float = 1e-5, max_coords: int | None = None,
-               seed: int = 0) -> float:
-    """Central finite differences against the analytic gradient.
+def fd_error(objective, params, grads, eps: float = 1e-5,
+             max_coords: int | None = None, seed: int = 0) -> float:
+    """Worst relative error of ``grads`` against central finite differences.
 
-    Perturbs every parameter coordinate (or a random subset of
-    ``max_coords`` per array) and returns the worst relative error,
-    with denominator max(|analytic|, |numeric|, 1e-8).
+    ``objective()`` is evaluated with each coordinate of ``params`` (or a
+    random subset of ``max_coords`` per array) moved by ±eps in place;
+    the denominator is max(|analytic|, |numeric|, 1e-8).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    grid = model.output_grid
-
-    def objective() -> float:
-        value = quadratic_loss(model.predict(x), y, grid)
-        if lam_b > 0 or lam_w > 0:
-            value += model.penalty(lam_b, lam_w)[0]
-        return value
-
-    pred, cache = model.forward(x)
-    grads = model.backward(cache, pred - y)
-    if lam_b > 0 or lam_w > 0:
-        pen_grads = model.penalty(lam_b, lam_w)[1]
-        grads = [g + pg for g, pg in zip(grads, pen_grads)]
-
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for param, grad in zip(model.parameters(), grads):
+    for param, grad in zip(params, grads):
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
         coords = np.arange(flat.size)
@@ -481,3 +469,25 @@ def grad_check(model, x, y, lam_b: float = 0.0, lam_w: float = 0.0,
             denom = max(abs(gflat[c]), abs(numeric), 1e-8)
             worst = max(worst, abs(gflat[c] - numeric) / denom)
     return worst
+
+
+def grad_check(model, x, y, lam_b: float = 0.0, lam_w: float = 0.0,
+               eps: float = 1e-5, max_coords: int | None = None,
+               seed: int = 0) -> float:
+    """:func:`fd_error` of the model's penalized quadratic-loss gradient."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    grid = model.output_grid
+
+    def objective() -> float:
+        value = quadratic_loss(model.predict(x), y, grid)
+        if lam_b > 0 or lam_w > 0:
+            value += model.penalty(lam_b, lam_w)[0]
+        return value
+
+    pred, cache = model.forward(x)
+    grads = model.backward(cache, pred - y)
+    if lam_b > 0 or lam_w > 0:
+        pen_grads = model.penalty(lam_b, lam_w)[1]
+        grads = [g + pg for g, pg in zip(grads, pen_grads)]
+    return fd_error(objective, model.parameters(), grads, eps, max_coords, seed)

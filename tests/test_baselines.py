@@ -10,13 +10,17 @@ from funcnet.baselines import (
     VectorNN,
     fflm_fit,
     fflm_tune_lambda,
-    vnn_fit,
     vnn_init,
-    vnn_predict,
 )
 from funcnet.datagen import FuncDataset, generate
 from funcnet.grids import Grid, second_diff
-from funcnet.training import TrainConfig, grad_check, quadratic_loss, rmse
+from funcnet.training import (
+    TrainConfig,
+    grad_check,
+    quadratic_loss,
+    rmse,
+    train_early_stopping,
+)
 
 
 def linear_dataset(n=80, m=30, m_y=20, seed=0, noise=0.0):
@@ -141,7 +145,7 @@ def test_vnn_zero_weights_predict_zero():
     for b in net.biases:
         b[:] = 0.0
     x = np.random.default_rng(1).normal(size=(4, 1, 12))
-    npt.assert_array_equal(vnn_predict(net, x), np.zeros((4, 8)))
+    npt.assert_array_equal(net.predict(x), np.zeros((4, 8)))
 
 
 def test_vnn_gradients_match_finite_differences():
@@ -166,13 +170,11 @@ def test_vnn_training_improves_on_linear_target():
     data = linear_dataset(n=80, m=20, m_y=12, seed=11)
     x, y = data.x, data.y
     net = vnn_init(1, 20, 12, hidden=(16,), seed=5)
-    before = quadratic_loss(vnn_predict(net, x), y, data.y_grid)
-    res = vnn_fit((x[:60], y[:60]), (x[60:], y[60:]), 1, 20, 12,
-                  hidden=(16,), seed=5,
-                  cfg=TrainConfig(step_size=1e-2, max_iterations=300,
-                                  patience=50))
-    net_trained, fit = res
-    after = quadratic_loss(vnn_predict(net_trained, x), y, data.y_grid)
+    before = quadratic_loss(net.predict(x), y, data.y_grid)
+    fit = train_early_stopping(net, (x[:60], y[:60]), (x[60:], y[60:]),
+                               TrainConfig(step_size=1e-2, max_iterations=300,
+                                           patience=50))
+    after = quadratic_loss(net.predict(x), y, data.y_grid)
     assert after < 0.3 * before
     assert fit.best_iteration > 0
 
@@ -181,7 +183,7 @@ def test_vnn_serialization_round_trip():
     net = vnn_init(1, 10, 6, hidden=(5, 4), activation="relu", seed=6)
     clone = VectorNN.from_dict(net.to_dict())
     x = np.random.default_rng(7).normal(size=(3, 1, 10))
-    npt.assert_array_equal(vnn_predict(net, x), vnn_predict(clone, x))
+    npt.assert_array_equal(net.predict(x), clone.predict(x))
 
 
 def test_vnn_init_determinism():
@@ -196,4 +198,4 @@ def test_vnn_init_determinism():
 def test_vnn_validates_input_shape():
     net = vnn_init(1, 10, 6, hidden=(5,), seed=10)
     with pytest.raises(ValueError):
-        vnn_predict(net, np.zeros((3, 1, 11)))
+        net.predict(np.zeros((3, 1, 11)))

@@ -6,12 +6,10 @@ import pytest
 
 from funcnet.bsplines import (
     BSplineBasis,
-    basis_functional,
-    bspline_design,
     curvature_penalty_matrix,
     laplacian_penalty_matrix,
 )
-from funcnet.grids import Grid, GridFunction
+from funcnet.grids import Grid
 
 
 def naive_bspline(x, k, i, knots):
@@ -110,13 +108,18 @@ def test_gram_total_mass():
 
 
 def test_basis_functional_against_quadrature():
+    # integrals of each basis function against f, taken through the design
+    # matrix, match a per-function quadrature of the Cox-de Boor oracle
     basis = BSplineBasis(6)
     g = Grid(101)
-    f = GridFunction.from_callable(g, lambda s: np.sin(2 * np.pi * s))
-    vec = basis_functional(basis, f)
-    design = bspline_design(basis, g)
-    expected = design.T @ (g.trapezoid_weights * f.values)
-    npt.assert_allclose(vec, expected, rtol=1e-12)
+    f = np.sin(2 * np.pi * g.points)
+    vec = basis.design(g.points).T @ (g.trapezoid_weights * f)
+    expected = [
+        g.trapezoid_weights
+        @ (np.array([naive_bspline(s, basis.degree, d, basis.knots) for s in g.points]) * f)
+        for d in range(basis.num_basis)
+    ]
+    npt.assert_allclose(vec, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_curvature_penalty_on_known_functions():

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from funcnet import datagen, fdnn
 from funcnet.cli import main
@@ -175,6 +176,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run("fit", "--data", orphan, "--out", tmp_path / "fit") == 1
 
 
+@pytest.mark.parametrize("model", ["fdnn", "fbnn", "vnn"])
+def test_early_stopping_without_validation_is_usage_error(tmp_path, capsys, model):
+    data = simulate_small(tmp_path)
+    code = run("fit", "--data", data, "--model", model, "--num-basis", "5",
+               "--hidden", "4", "--out", tmp_path / "fit",
+               *FIT_FAST[:-6], "--n-train", "19", "--n-val", "0", "--n-test", "7")
+    assert code == 1
+    assert "at least one validation curve" in capsys.readouterr().err
+
+
+def test_bool_options_reject_unknown_words(tmp_path, capsys):
+    args = ("benchmark", "--models", "fflm", "--replicates", "1", "--n", "30",
+            "--m", "9", "--m-y", "7", "--num-basis", "5")
+    assert run(*args, "--write-params", "ture", "--out", tmp_path / "a") == 1
+    assert "ture" in capsys.readouterr().err
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("write_params = ture\n")
+    assert run(*args, "--config", cfg, "--out", tmp_path / "b") == 1
+    assert f"{cfg}:1" in capsys.readouterr().err
+    for word in ("OFF", "No", "0", "false"):
+        cfg.write_text(f"write_params = {word}\n")
+        assert run(*args, "--config", cfg, "--out", tmp_path / word) == 0
+    for word in ("On", "YES", "1", "true"):
+        assert run(*args, "--write-params", word, "--out", tmp_path / word) == 0
+
+
 def test_help_exits_cleanly():
     assert run("--help") == 0
 
@@ -317,3 +344,30 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     cfg.write_text("this line has no equals sign\n")
     assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 1
     assert "expected key=value" in capsys.readouterr().err
+
+
+def test_config_values_get_the_flag_checks(tmp_path, capsys):
+    data = simulate_small(tmp_path)
+    cfg = tmp_path / "fit.cfg"
+    for line, key in (("mode = typo", "mode"), ("n_val = five", "n_val"),
+                      ("model = bogus", "model")):
+        cfg.write_text(f"# fit settings\n{line}\n")
+        out = tmp_path / key
+        assert run("fit", "--config", cfg, "--data", data, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and key in err
+        assert not out.exists()
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 12\nstepsize = 5\n")
+    out = tmp_path / "sim"
+    assert run("simulate", "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2" in err and "stepsize" in err
+    assert not out.exists()
+    # keys of another subcommand stay accepted: one file serves several
+    cfg.write_text("n = 12\nm = 9\nm_y = 7\nstep_size = 5\nmodels = fflm\n")
+    assert run("simulate", "--config", cfg, "--out", out) == 0
+    assert json.loads((out / "dataset.json").read_text())["n"] == 12

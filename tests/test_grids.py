@@ -4,18 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from funcnet.grids import (
-    Grid,
-    GridFunction,
-    GridSurface,
-    laplacian,
-    resample_linear,
-    resample_values,
-    second_derivative,
-    second_diff,
-    second_diff_adjoint,
-    trapezoid,
-)
+from funcnet.grids import Grid, resample_values, second_diff, second_diff_adjoint
 
 
 def test_grid_basics():
@@ -35,27 +24,18 @@ def test_grid_rejects_degenerate():
 def test_trapezoid_exact_for_linear():
     # the composite trapezoid rule integrates piecewise-linear functions exactly
     g = Grid(17)
-    f = GridFunction.from_callable(g, lambda s: 3.0 * s - 1.0)
-    npt.assert_allclose(trapezoid(f), 0.5, atol=1e-14)
+    npt.assert_allclose(g.trapezoid_weights @ (3.0 * g.points - 1.0), 0.5, atol=1e-14)
 
 
 def test_trapezoid_converges_quadratically():
     exact = (1.0 - np.cos(1.0))
     errs = []
     for m in (11, 21, 41):
-        f = GridFunction.from_callable(Grid(m), np.sin)
-        errs.append(abs(trapezoid(f) - exact))
+        g = Grid(m)
+        errs.append(abs(g.trapezoid_weights @ np.sin(g.points) - exact))
     # halving h should cut the error by about 4
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
-
-
-def test_grid_function_validates():
-    g = Grid(4)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros(5))
-    with pytest.raises(ValueError):
-        GridFunction(g, [0.0, np.nan, 0.0, 0.0])
 
 
 def test_second_diff_exact_on_quadratics():
@@ -99,38 +79,27 @@ def test_second_diff_adjoint_matches_dense_matrix():
     npt.assert_allclose(second_diff_adjoint(v, h), dense.T @ v, rtol=1e-12)
 
 
-def test_second_derivative_wrapper():
-    g = Grid(25)
-    f = GridFunction.from_callable(g, lambda s: s**2)
-    d = second_derivative(f)
-    assert d.grid is g
-    npt.assert_allclose(d.values[1:-1], 2.0, atol=1e-9)
-
-
 def test_laplacian_on_polynomial_surface():
+    # the Laplacian of a surface is the sum of its two directional second
+    # differences, each zero-padded at its own boundary
     gr, gc = Grid(21), Grid(16)
     vals = gr.points[:, None] ** 2 + 3.0 * gc.points[None, :] ** 2
-    lap = laplacian(GridSurface(gr, gc, vals))
-    npt.assert_allclose(lap.values[1:-1, 1:-1], 8.0, atol=1e-8)
+    lap = second_diff(vals, gr.h, axis=0) + second_diff(vals, gc.h, axis=1)
+    npt.assert_allclose(lap[1:-1, 1:-1], 8.0, atol=1e-8)
     # corners are zero-padded in both directions
-    assert lap.values[0, 0] == 0.0
-    assert lap.values[-1, -1] == 0.0
-
-
-def test_grid_surface_validates_shape():
-    with pytest.raises(ValueError):
-        GridSurface(Grid(3), Grid(4), np.zeros((4, 3)))
+    assert lap[0, 0] == 0.0
+    assert lap[-1, -1] == 0.0
 
 
 def test_resample_linear_identity_and_refinement():
     g = Grid(11)
-    f = GridFunction.from_callable(g, lambda s: 2.0 * s + 1.0)
-    same = resample_linear(f, Grid(11))
-    npt.assert_allclose(same.values, f.values)
-    assert same.values is not f.values
+    values = (2.0 * g.points + 1.0)[None, :]
+    same = resample_values(values, g, Grid(11))
+    npt.assert_allclose(same, values)
+    assert same is not values
 
-    fine = resample_linear(f, Grid(41))
-    npt.assert_allclose(fine.values, 2.0 * Grid(41).points + 1.0, atol=1e-12)
+    fine = resample_values(values, g, Grid(41))
+    npt.assert_allclose(fine[0], 2.0 * Grid(41).points + 1.0, atol=1e-12)
 
 
 def test_resample_values_batch():

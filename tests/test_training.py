@@ -215,6 +215,28 @@ def test_early_stopping_initial_state_can_win():
         npt.assert_array_equal(a, b)
 
 
+def test_early_stopping_divergence_restores_best_parameters():
+    x, y, _ = toy_data(n=20, noise=0.1)
+    train, val = (x[:15], y[:15]), (x[15:], y[15:])
+    cfg = TrainConfig(step_size=1e6, max_iterations=200, patience=math.inf,
+                      optimizer="gd")
+    net = tiny_net(seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDiverged) as info:
+        train_early_stopping(net, train, val, cfg)
+    # replaying the iterations before the divergence gives the best seen
+    replay = train_early_stopping(tiny_net(seed=3), train, val,
+                                  cfg.replace(max_iterations=info.value.iteration - 1))
+    for got, best in zip(net.parameters(), replay.parameters):
+        npt.assert_array_equal(got, best)
+
+
+def test_early_stopping_needs_validation_curves():
+    x, y, _ = toy_data(n=20)
+    with pytest.raises(ValueError, match="at least one validation curve"):
+        train_early_stopping(tiny_net(), (x, y), (x[:0], y[:0]), TrainConfig())
+
+
 def test_early_stopping_patience_bounds_the_run():
     x, y, _ = toy_data(n=20)
     net = tiny_net(seed=8)
