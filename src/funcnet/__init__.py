@@ -9,7 +9,7 @@ training toolkit (quadratic functional loss, early stopping, k-fold CV
 stopping strategies, smoothing-parameter tuning, gradient checks).
 """
 
-from . import activations, baselines, bsplines, datagen, fbnn, fdnn, gp, grids, training
+from . import activations, baselines, bsplines, datagen, fbnn, fdnn, gp, grids, network, training
 from .activations import Activation
 from .baselines import FflmModel, VectorNN, fflm_fit, fflm_tune_lambda, vnn_init
 from .bsplines import BSplineBasis, curvature_penalty_matrix, laplacian_penalty_matrix

@@ -3,8 +3,8 @@
 The linear model expands the intercept and every coefficient surface in
 B-splines and solves the discretized least-squares problem in closed
 form.  The vector network flattens the predictor curves and runs a
-standard dense net, exposing the same forward/backward/parameters
-surface as the functional networks so the shared training loop applies.
+standard dense net: the network loop of the functional networks over
+dense layers, so the shared training loop applies.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from . import training
 from .activations import Activation
 from .bsplines import BSplineBasis, laplacian_penalty_matrix
 from .grids import Grid
+from .network import Network
 
 SCHEMA_VERSION = 1
 
@@ -206,118 +207,88 @@ def fflm_tune_lambda(data, lam_grid, k: int = 5, seed: int = 0,
     return best_lam
 
 
-class VectorNN:
+class DenseLayer:
+    """A dense layer of the vector network: a = h @ w.T + b on the
+    flattened per-sample input of shape ``in_shape``."""
+
+    param_names = ("b", "w")
+
+    def __init__(self, b, w, activation: Activation, in_shape=None):
+        b = np.asarray(b, dtype=float)
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or b.shape != (w.shape[0],):
+            raise ValueError("layer shapes inconsistent")
+        self.in_shape = tuple(in_shape) if in_shape else (1, w.shape[1])
+        if np.prod(self.in_shape) != w.shape[1]:
+            raise ValueError(f"layer expects {w.shape[1]} inputs, not {self.in_shape}")
+        self.out_shape = (1, w.shape[0])
+        self.b = b
+        self.w = w
+        self.activation = activation
+
+    def affine(self, h, a, _buffer, _reuse_input):
+        n = h.shape[0]
+        np.matmul(h.reshape(n, -1), self.w.T, out=a.reshape(n, -1))
+        a += self.b
+
+    def backward(self, h_in, _saved, delta_a, buffer, need_dh):
+        n = h_in.shape[0]
+        delta = delta_a.reshape(n, -1)
+        gb, gw = delta.sum(axis=0), delta.T @ h_in.reshape(n, -1)
+        if not need_dh:
+            return gb, gw, None
+        dh = buffer("dh", h_in.shape)
+        np.matmul(delta, self.w, out=dh.reshape(n, -1))
+        return gb, gw, dh
+
+    def roughness(self, _which, _lam, _buffer):
+        raise ValueError("the vector network has no roughness penalty")
+
+
+class VectorNN(Network):
     """Dense net from flattened predictor curves to the response vector.
 
-    Implements the trainable interface used by the training loops; the
-    output vector is read as a curve on the response grid, so the same
-    integrated quadratic loss applies.
+    The output vector is read as a curve on the response grid, so the
+    same integrated quadratic loss applies.  ``activation`` names the
+    hidden layers' activation; the last layer is linear.
     """
 
     kind = "vnn"
 
-    def __init__(self, weights, biases, input_count: int, in_grid: Grid,
-                 out_grid: Grid, activation: Activation):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need matching, non-empty weight/bias lists")
-        dims_in = input_count * in_grid.m
-        for w_arr, b_arr in zip(weights, biases):
-            if w_arr.ndim != 2 or b_arr.shape != (w_arr.shape[0],):
-                raise ValueError("layer shapes inconsistent")
-            if w_arr.shape[1] != dims_in:
-                raise ValueError(
-                    f"layer expects {w_arr.shape[1]} inputs, previous layer "
-                    f"provides {dims_in}"
-                )
-            dims_in = w_arr.shape[0]
-        if dims_in != out_grid.m:
-            raise ValueError("last layer must match the response grid")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(v, dtype=float) for v in biases]
-        self.input_count = input_count
-        self.in_grid = in_grid
-        self.out_grid = out_grid
-        self.activation = activation
+    def __init__(self, layers: list[DenseLayer], input_grid: Grid, input_count: int,
+                 activation: Activation | None = None):
+        super().__init__(layers, input_grid, input_count)
+        self.activation = activation or layers[0].activation
 
-    @property
-    def output_grid(self) -> Grid:
-        return self.out_grid
+    @classmethod
+    def from_arrays(cls, weights, biases, input_count: int, input_grid: Grid,
+                    activation: Activation) -> "VectorNN":
+        """The net of dense (out, in) weight matrices and bias vectors."""
+        last = len(weights) - 1
+        layers = [
+            DenseLayer(b, w, Activation("identity") if i == last else activation,
+                       (input_count, input_grid.m) if i == 0 else None)
+            for i, (w, b) in enumerate(zip(weights, biases, strict=True))
+        ]
+        return cls(layers, input_grid, input_count, activation)
 
-    def _flatten(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[1] != self.input_count or x.shape[2] != self.in_grid.m:
-            raise ValueError(
-                f"expected input (n, {self.input_count}, {self.in_grid.m}), "
-                f"got {x.shape}"
-            )
-        return x.reshape(x.shape[0], -1)
-
-    def forward(self, x):
-        h = self._flatten(x)
-        cache = []
-        last = len(self.weights) - 1
-        for idx, (w_arr, b_arr) in enumerate(zip(self.weights, self.biases)):
-            a = h @ w_arr.T + b_arr
-            cache.append((h, a))
-            h = a if idx == last else self.activation(a)
-        return h, cache
-
-    def predict(self, x):
-        return self.forward(x)[0]
-
-    def backward(self, cache, residuals):
-        n = residuals.shape[0]
-        delta = (2.0 / n) * residuals * self.out_grid.trapezoid_weights
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
-        for idx in range(len(self.weights) - 1, -1, -1):
-            h_in, _ = cache[idx]
-            grads[2 * idx] = delta.sum(axis=0)
-            grads[2 * idx + 1] = delta.T @ h_in
-            if idx > 0:
-                upstream = delta @ self.weights[idx]
-                delta = upstream * self.activation.deriv(cache[idx - 1][1])
-        return grads
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for b_arr, w_arr in zip(self.biases, self.weights):
-            out.append(b_arr)
-            out.append(w_arr)
-        return out
-
-    def set_parameters(self, values):
-        for target, src in zip(self.parameters(), values):
-            target[...] = src
-
-    def penalty(self, lam_b: float, lam_w: float):
-        if lam_b or lam_w:
-            raise ValueError("the vector network has no roughness penalty")
-        return 0.0, [np.zeros_like(p) for p in self.parameters()]
-
-    def to_dict(self) -> dict:
+    def _layout(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
             "input_count": self.input_count,
-            "in_m": self.in_grid.m,
-            "out_m": self.out_grid.m,
+            "in_m": self.input_grid.m,
+            "out_m": self.output_grid.m,
             "activation": self.activation.name,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [v.tolist() for v in self.biases],
+            "weights": [layer.w.tolist() for layer in self.layers],
+            "biases": [layer.b.tolist() for layer in self.layers],
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "VectorNN":
-        if doc.get("kind") != cls.kind:
-            raise ValueError(f"not a {cls.kind} document: kind={doc.get('kind')!r}")
-        return cls(
-            [np.asarray(w, dtype=float) for w in doc["weights"]],
-            [np.asarray(v, dtype=float) for v in doc["biases"]],
-            doc["input_count"],
-            Grid(doc["in_m"]),
-            Grid(doc["out_m"]),
-            Activation(doc["activation"]),
-        )
+    def _from_layout(cls, doc: dict) -> "VectorNN":
+        net = cls.from_arrays(doc["weights"], doc["biases"], doc["input_count"],
+                              Grid(doc["in_m"]), Activation(doc["activation"]))
+        if net.output_grid.m != doc["out_m"]:
+            raise ValueError("last layer must match the response grid")
+        return net
 
 
 def vnn_init(input_count: int, m: int, m_y: int, hidden=(128, 128),
@@ -330,6 +301,4 @@ def vnn_init(input_count: int, m: int, m_y: int, hidden=(128, 128),
     for fan_in, fan_out in zip(dims, dims[1:]):
         weights.append(np.sqrt(2.0 / fan_in) * rng.standard_normal((fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return VectorNN(weights, biases, input_count, Grid(m), Grid(m_y),
-                    Activation(activation))
-
+    return VectorNN.from_arrays(weights, biases, input_count, Grid(m), Activation(activation))

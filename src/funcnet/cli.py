@@ -255,34 +255,19 @@ def _resolve_layout(args):
 
 
 def _build_network(kind: str, m: int, m_y: int, input_count: int, args, seed):
-    if kind == "fdnn":
-        cfg = fdnn.FdnnConfig(
-            input_points=m,
-            output_points=m_y,
-            input_count=input_count,
-            hidden_neurons=tuple(args.neurons),
-            hidden_points=tuple(args.grid_points),
-            activation=args.activation,
-        )
-        return fdnn.init(cfg, seed)
-    if kind == "fbnn":
-        cfg = fbnn.FbnnConfig(
-            input_points=m,
-            output_points=m_y,
-            input_count=input_count,
-            hidden_neurons=tuple(args.neurons),
-            hidden_points=tuple(args.grid_points),
-            num_intercept_basis=args.num_basis,
-            num_row_basis=args.num_basis,
-            num_col_basis=args.num_basis,
-            activation=args.activation,
-        )
-        return fbnn.init(cfg, seed)
+    """A new fdnn, fbnn or vnn network with the architecture flags of ``args``."""
     if kind == "vnn":
         return baselines.vnn_init(
             input_count, m, m_y, tuple(args.hidden), args.activation, seed
         )
-    raise _UsageError(f"cannot build model kind {kind!r}")
+    arch = dict(input_points=m, output_points=m_y, input_count=input_count,
+                hidden_neurons=tuple(args.neurons), hidden_points=tuple(args.grid_points),
+                activation=args.activation)
+    if kind == "fdnn":
+        return fdnn.init(fdnn.FdnnConfig(**arch), seed)
+    bases = dict.fromkeys(("num_intercept_basis", "num_row_basis", "num_col_basis"),
+                          args.num_basis)
+    return fbnn.init(fbnn.FbnnConfig(**arch, **bases), seed)
 
 
 def _smoothing(args) -> tuple[float, float]:
@@ -290,6 +275,26 @@ def _smoothing(args) -> tuple[float, float]:
     if args.lam is not None:
         return args.lam, args.lam
     return args.lam_b, args.lam_w
+
+
+def _check_vnn_smoothing(args, models):
+    """Refuse a roughness penalty for vnn before any work is done."""
+    grid = getattr(args, "lam_grid", None) or ()
+    if "vnn" in models and (max(_smoothing(args)) > 0 or any(grid)):
+        raise _UsageError("model vnn has no roughness penalty; leave --lam, --lam-b, "
+                          "--lam-w and --lam-grid at 0 for it")
+
+
+def _split_sizes(args):
+    """(n_train, n_val, n_test) from the flags, or None for the default split."""
+    keys = ("n_train", "n_val", "n_test")
+    missing = ["--" + key.replace("_", "-") for key in keys if getattr(args, key) is None]
+    if not missing:
+        return tuple(getattr(args, key) for key in keys)
+    if len(missing) < len(keys):
+        raise _UsageError(f"give all of --n-train/--n-val/--n-test or none; "
+                          f"missing {', '.join(missing)}")
+    return None
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -334,14 +339,11 @@ def _fit_fflm(merged, args, lam_grid=None):
 def cmd_fit(args) -> int:
     if not args.data:
         raise _UsageError("fit requires --data PATH")
+    _check_vnn_smoothing(args, [args.model])
+    sizes = _split_sizes(args)
     m, m_y = _resolve_layout(args)
     data = datagen.load_table(args.data, m, m_y)
-    n_train, n_val, n_test = (
-        (args.n_train, args.n_val, args.n_test)
-        if args.n_train is not None
-        else _default_split(data.n)
-    )
-    spec = datagen.SplitSpec(n_train, n_val, n_test, args.split_seed)
+    spec = datagen.SplitSpec(*(sizes or _default_split(data.n)), args.split_seed)
     train, val, test = datagen.split(data, spec)
     os.makedirs(args.out, exist_ok=True)
     cfg = _train_config(args)
@@ -510,9 +512,7 @@ def cmd_benchmark(args) -> int:
     for name in args.scenarios:
         if name not in datagen.SCENARIOS:
             raise _UsageError(f"unknown scenario {name!r}")
-    if "vnn" in args.models and max(_smoothing(args)) > 0:
-        raise _UsageError("model vnn has no roughness penalty; set --lam, --lam-b "
-                          "and --lam-w to 0 or leave vnn out of --models")
+    _check_vnn_smoothing(args, args.models)
     os.makedirs(args.out, exist_ok=True)
     tasks = _benchmark_tasks(args)
     args_dict = vars(args).copy()
@@ -593,16 +593,10 @@ def cmd_gradcheck(args) -> int:
     x = rng.standard_normal((batch, 1, m))
     y = rng.standard_normal((batch, m_y))
 
-    nets = {
-        "fdnn": fdnn.init(
-            fdnn.FdnnConfig(m, m_y, 1, (2,), (m_hidden,), "tanh"), rng.integers(2**32)
-        ),
-        "fbnn": fbnn.init(
-            fbnn.FbnnConfig(m, m_y, 1, (2,), (m_hidden,), 5, 5, 5, 4, "tanh"),
-            rng.integers(2**32),
-        ),
-        "vnn": baselines.vnn_init(1, m, m_y, (6,), "tanh", rng.integers(2**32)),
-    }
+    arch = argparse.Namespace(neurons=(2,), grid_points=(m_hidden,), num_basis=5,
+                              hidden=(6,), activation="tanh")
+    nets = {kind: _build_network(kind, m, m_y, 1, arch, rng.integers(2**32))
+            for kind in ("fdnn", "fbnn", "vnn")}
     report = {"schema_version": SCHEMA_VERSION, "eps": args.eps,
               "tolerance": args.tolerance, "errors": {}}
     worst = 0.0

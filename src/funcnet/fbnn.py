@@ -17,6 +17,7 @@ penalty values and gradients are cheap and independent of grid size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,17 @@ from .activations import Activation
 from .bsplines import BSplineBasis, curvature_penalty_matrix, laplacian_penalty_matrix
 from .fdnn import FdnnLayer, FdnnNetwork
 from .grids import Grid
+from .network import GridLayer, Network, build, check_architecture
 
-SCHEMA_VERSION = 1
 
-
-class FbnnLayer:
+class FbnnLayer(GridLayer):
     """Coefficient-valued continuous layer.
 
     b_coef: (K, B) intercept coefficients; w_coef: (K, J, C, D) weight
     coefficients with C on the output axis and D on the incoming axis.
     """
+
+    param_names = ("b_coef", "w_coef")
 
     def __init__(
         self,
@@ -46,212 +48,88 @@ class FbnnLayer:
         out_grid: Grid,
         activation: Activation,
     ):
-        b_coef = np.asarray(b_coef, dtype=float)
-        w_coef = np.asarray(w_coef, dtype=float)
-        if b_coef.ndim != 2 or w_coef.ndim != 4:
-            raise ValueError("b_coef must be (K, B) and w_coef (K, J, C, D)")
-        k, j, c, d = w_coef.shape
-        ok = (
-            b_coef.shape == (k, intercept_basis.num_basis)
-            and c == row_basis.num_basis
-            and d == col_basis.num_basis
-        )
-        if not ok:
-            raise ValueError(
-                f"coefficient shapes b{b_coef.shape} / w{w_coef.shape} do not "
-                "match the declared bases"
-            )
-        self.b_coef = b_coef
-        self.w_coef = w_coef
-        self.in_count = j
-        self.out_count = k
+        super().__init__(b_coef, w_coef, in_grid, out_grid, activation,
+                         intercept_basis.num_basis, (row_basis.num_basis, col_basis.num_basis))
         self.intercept_basis = intercept_basis
         self.row_basis = row_basis
         self.col_basis = col_basis
-        self.in_grid = in_grid
-        self.out_grid = out_grid
-        self.activation = activation
         # design matrices are fixed for the life of the layer
         self.design_intercept = intercept_basis.design(out_grid.points)
         self.design_row = row_basis.design(out_grid.points)
         self.design_col = col_basis.design(in_grid.points)
-        self._curv = None
-        self._lap = None
 
+    @cached_property
     def curvature_matrix(self) -> np.ndarray:
-        if self._curv is None:
-            self._curv = curvature_penalty_matrix(self.intercept_basis)
-        return self._curv
+        return curvature_penalty_matrix(self.intercept_basis)
 
+    @cached_property
     def laplacian_matrix(self) -> np.ndarray:
-        if self._lap is None:
-            self._lap = laplacian_penalty_matrix(self.row_basis, self.col_basis)
-        return self._lap
+        return laplacian_penalty_matrix(self.row_basis, self.col_basis)
 
+    def affine(self, h, a, buffer, reuse_input):
+        """a = b_coef v*(s) + v(s)^T W A, through the low-rank functionals
+        A = integral u(t) h(t) dt; returns A for the adjoint."""
+        hq = self._quadrature(h, buffer, reuse_input)
+        a_vec = np.tensordot(hq, self.design_col, axes=([2], [0]))  # (n, J, D)
+        mixed = np.tensordot(a_vec, self.w_coef, axes=([1, 2], [1, 3]))  # (n, K, C)
+        n, k, c = mixed.shape
+        np.dot(mixed.reshape(n * k, c), self.design_row.T, out=a.reshape(n * k, -1))
+        a += self.b_coef @ self.design_intercept.T
+        return a_vec
 
-class FbnnNetwork:
-    kind = "fbnn"
-
-    def __init__(self, layers: list[FbnnLayer], input_grid: Grid, input_count: int):
-        if not layers:
-            raise ValueError("network needs at least the output layer")
-        if layers[0].in_count != input_count or layers[0].in_grid != input_grid:
-            raise ValueError("first layer incompatible with the declared input")
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.in_count != prev.out_count or nxt.in_grid != prev.out_grid:
-                raise ValueError("adjacent layers are incompatible")
-        if layers[-1].out_count != 1:
-            raise ValueError("output layer must have exactly one neuron")
-        self.layers = layers
-        self.input_grid = input_grid
-        self.input_count = input_count
-
-    @property
-    def output_grid(self) -> Grid:
-        return self.layers[-1].out_grid
-
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[1] != self.input_count or x.shape[2] != self.input_grid.m:
-            raise ValueError(
-                f"expected input of shape (n, {self.input_count}, "
-                f"{self.input_grid.m}), got {x.shape}"
-            )
-        return x
-
-    def forward(self, x):
-        """Batch evaluation; cache keeps (incoming curves, A vectors, a)."""
-        h = self._check_input(x)
-        cache = []
-        for layer in self.layers:
-            hq = h * layer.in_grid.trapezoid_weights
-            a_vec = np.tensordot(hq, layer.design_col, axes=([2], [0]))  # (n, J, D)
-            mixed = np.tensordot(a_vec, layer.w_coef, axes=([1, 2], [1, 3]))  # (n, K, C)
-            a = np.tensordot(mixed, layer.design_row, axes=([2], [1]))
-            a += layer.b_coef @ layer.design_intercept.T
-            cache.append((h, a_vec, a))
-            h = layer.activation(a)
-        return h[:, 0, :], cache
-
-    def predict(self, x):
-        return self.forward(x)[0]
-
-    def backward(self, cache, residuals):
-        """Exact coefficient gradients of the discretized batch loss.
-
-        Local pieces: act'(a) v*(s) for intercept coefficients and
+    def backward(self, _h_in, a_vec, delta_a, _buffer, need_dh):
+        """Local pieces: act'(a) v*(s) for intercept coefficients and
         act'(a(s)) v(s) A_j[d] for weight coefficients; the adjoint
         pushes sensitivities back through both the row-basis evaluation
-        and the incoming-axis functionals.
-        """
-        n = residuals.shape[0]
-        if len(cache) != len(self.layers) or cache[0][0].shape[0] != n:
-            raise ValueError("cache does not match this network/batch")
-        qy = self.output_grid.trapezoid_weights
-        delta_h = (2.0 / n) * residuals * qy
-        delta_a = None
-        grads: list[np.ndarray] = [None] * (2 * len(self.layers))
-        for idx in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[idx]
-            _, a_vec, a = cache[idx]
-            if delta_a is None:
-                delta_a = delta_h[:, None, :] * layer.activation.deriv(a)
-            grads[2 * idx] = np.tensordot(
-                delta_a, layer.design_intercept, axes=([2], [0])
-            ).sum(axis=0)
-            u = np.tensordot(delta_a, layer.design_row, axes=([2], [0]))  # (n, K, C)
-            gw = np.tensordot(u, a_vec, axes=([0], [0]))  # (K, C, J, D)
-            grads[2 * idx + 1] = gw.transpose(0, 2, 1, 3)
-            if idx > 0:
-                v = np.tensordot(u, layer.w_coef, axes=([1, 2], [0, 2]))  # (n, J, D)
-                dh = np.tensordot(v, layer.design_col, axes=([2], [1]))
-                dh *= layer.in_grid.trapezoid_weights
-                prev = self.layers[idx - 1]
-                delta_a = dh * prev.activation.deriv(cache[idx - 1][2])
-        return grads
+        and the incoming-axis functionals."""
+        gb = np.tensordot(delta_a, self.design_intercept, axes=([2], [0])).sum(axis=0)
+        u = np.tensordot(delta_a, self.design_row, axes=([2], [0]))  # (n, K, C)
+        gw = np.tensordot(u, a_vec, axes=([0], [0])).transpose(0, 2, 1, 3)
+        if not need_dh:
+            return gb, gw, None
+        v = np.tensordot(u, self.w_coef, axes=([1, 2], [0, 2]))  # (n, J, D)
+        dh = np.tensordot(v, self.design_col, axes=([2], [1]))
+        dh *= self.in_grid.trapezoid_weights
+        return gb, gw, dh
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.b_coef)
-            out.append(layer.w_coef)
-        return out
-
-    def set_parameters(self, values):
-        for target, src in zip(self.parameters(), values):
-            target[...] = src
-
-    def penalty(self, lam_b: float, lam_w: float):
-        """Roughness penalty as Gram-matrix quadratic forms in coefficients."""
-        if lam_b < 0 or lam_w < 0:
-            raise ValueError("smoothing parameters must be non-negative")
-        value = 0.0
-        grads = []
-        for layer in self.layers:
-            if lam_b > 0.0:
-                g2 = layer.curvature_matrix()
-                bg = layer.b_coef @ g2
-                value += lam_b * float(np.sum(bg * layer.b_coef))
-                grads.append(2.0 * lam_b * bg)
-            else:
-                grads.append(np.zeros_like(layer.b_coef))
-            if lam_w > 0.0:
-                p = layer.laplacian_matrix()
-                k, j, c, d = layer.w_coef.shape
-                flat = layer.w_coef.reshape(k * j, c * d)
-                wp = flat @ p
-                value += lam_w * float(np.sum(wp * flat))
-                grads.append((2.0 * lam_w * wp).reshape(k, j, c, d))
-            else:
-                grads.append(np.zeros_like(layer.w_coef))
-        return value, grads
+    def roughness(self, which, lam, _buffer):
+        """Roughness as Gram-matrix quadratic forms in the coefficients."""
+        if which == 0:
+            bg = self.b_coef @ self.curvature_matrix
+            return lam * float(np.sum(bg * self.b_coef)), 2.0 * lam * bg
+        k, j, c, d = self.w_coef.shape
+        flat = self.w_coef.reshape(k * j, c * d)
+        wp = flat @ self.laplacian_matrix
+        return lam * float(np.sum(wp * flat)), (2.0 * lam * wp).reshape(k, j, c, d)
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "input_m": self.input_grid.m,
-            "input_count": self.input_count,
-            "layers": [
-                {
-                    "activation": layer.activation.name,
-                    "out_m": layer.out_grid.m,
-                    "intercept_basis": [
-                        layer.intercept_basis.num_basis,
-                        layer.intercept_basis.order,
-                    ],
-                    "row_basis": [layer.row_basis.num_basis, layer.row_basis.order],
-                    "col_basis": [layer.col_basis.num_basis, layer.col_basis.order],
-                    "b_coef": layer.b_coef.tolist(),
-                    "w_coef": layer.w_coef.tolist(),
-                }
-                for layer in self.layers
-            ],
+            "activation": self.activation.name,
+            "out_m": self.out_grid.m,
+            "intercept_basis": [self.intercept_basis.num_basis, self.intercept_basis.order],
+            "row_basis": [self.row_basis.num_basis, self.row_basis.order],
+            "col_basis": [self.col_basis.num_basis, self.col_basis.order],
+            "b_coef": self.b_coef.tolist(),
+            "w_coef": self.w_coef.tolist(),
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FbnnNetwork":
-        if doc.get("kind") != cls.kind:
-            raise ValueError(f"not an {cls.kind} document: kind={doc.get('kind')!r}")
-        input_grid = Grid(doc["input_m"])
-        in_grid = input_grid
-        layers = []
-        for spec in doc["layers"]:
-            out_grid = Grid(spec["out_m"])
-            layers.append(
-                FbnnLayer(
-                    np.asarray(spec["b_coef"], dtype=float),
-                    np.asarray(spec["w_coef"], dtype=float),
-                    BSplineBasis(*spec["intercept_basis"]),
-                    BSplineBasis(*spec["row_basis"]),
-                    BSplineBasis(*spec["col_basis"]),
-                    in_grid,
-                    out_grid,
-                    Activation(spec["activation"]),
-                )
-            )
-            in_grid = out_grid
-        return cls(layers, input_grid, doc["input_count"])
+    def from_dict(cls, spec: dict, in_grid: Grid) -> "FbnnLayer":
+        return cls(
+            spec["b_coef"],
+            spec["w_coef"],
+            BSplineBasis(*spec["intercept_basis"]),
+            BSplineBasis(*spec["row_basis"]),
+            BSplineBasis(*spec["col_basis"]),
+            in_grid,
+            Grid(spec["out_m"]),
+            Activation(spec["activation"]),
+        )
+
+
+class FbnnNetwork(Network):
+    kind = "fbnn"
+    layer_type = FbnnLayer
 
 
 @dataclass
@@ -268,48 +146,29 @@ class FbnnConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.input_count < 1:
-            raise ValueError("need at least one predictor function")
-        if not self.hidden_neurons:
-            self.hidden_points = ()
-        elif len(self.hidden_points) == 1 and len(self.hidden_neurons) > 1:
-            self.hidden_points = self.hidden_points * len(self.hidden_neurons)
-        if len(self.hidden_points) != len(self.hidden_neurons):
-            raise ValueError("hidden_points and hidden_neurons lengths differ")
+        check_architecture(self)
         for count in (self.num_intercept_basis, self.num_row_basis, self.num_col_basis):
             if count < self.order:
                 raise ValueError(
                     f"basis sizes must be at least the spline order ({self.order})"
                 )
-        Activation(self.activation)  # reject unknown names early
 
 
 def init(config: FbnnConfig, seed) -> FbnnNetwork:
     """Random network: weight coefficients iid N(0, 2/(J*D)), intercepts zero."""
-    rng = np.random.default_rng(seed)
-    act = Activation(config.activation)
     b_basis = BSplineBasis(config.num_intercept_basis, config.order)
     s_basis = BSplineBasis(config.num_row_basis, config.order)
     t_basis = BSplineBasis(config.num_col_basis, config.order)
-    input_grid = Grid(config.input_points)
-    layers = []
-    in_grid, in_count = input_grid, config.input_count
-    plan = [
-        (k, Grid(m), act)
-        for k, m in zip(config.hidden_neurons, config.hidden_points)
-    ]
-    plan.append((1, Grid(config.output_points), Activation("identity")))
-    for out_count, out_grid, layer_act in plan:
+
+    def layer(rng, in_grid, in_count, out_grid, out_count, act):
         scale = np.sqrt(2.0 / (in_count * t_basis.num_basis))
         w_coef = scale * rng.standard_normal(
             (out_count, in_count, s_basis.num_basis, t_basis.num_basis)
         )
         b_coef = np.zeros((out_count, b_basis.num_basis))
-        layers.append(
-            FbnnLayer(b_coef, w_coef, b_basis, s_basis, t_basis, in_grid, out_grid, layer_act)
-        )
-        in_grid, in_count = out_grid, out_count
-    return FbnnNetwork(layers, input_grid, config.input_count)
+        return FbnnLayer(b_coef, w_coef, b_basis, s_basis, t_basis, in_grid, out_grid, act)
+
+    return build(FbnnNetwork, config, seed, layer)
 
 
 def expand_to_direct(net: FbnnNetwork) -> FdnnNetwork:

@@ -1,11 +1,12 @@
 """Loss, optimizers, early stopping, CV strategies, and gradient checks.
 
-Every model trained here exposes the same small surface: ``forward``
-(returning predictions and a cache), ``backward`` (exact gradients of
-the discretized quadratic loss), ``predict``, ``parameters`` /
-``set_parameters`` (aliasing ndarrays, interleaved intercept/weight),
-``penalty`` and ``output_grid``.  The loops below never look inside a
-model beyond that.
+The networks trained here (FdnnNetwork, FbnnNetwork, VectorNN) share
+one surface, defined once in :class:`funcnet.network.Network`:
+``forward`` (predictions and a cache valid until the next ``forward``),
+``backward`` (exact gradients of the discretized quadratic loss),
+``predict``, ``parameters`` / ``set_parameters`` (live arrays,
+interleaved intercept/weight), ``penalty`` and ``output_grid``.  The
+loops below never look inside a model beyond that.
 """
 
 from __future__ import annotations
@@ -189,8 +190,12 @@ def _copy_params(model):
     return [p.copy() for p in model.parameters()]
 
 
-def _objective_step(model, x, y, cfg, optimizer, iteration):
-    """One gradient update; returns the pre-update penalized objective."""
+def _objective_step(model, x, y, cfg, optimizer, rng, iteration):
+    """One gradient update of the penalized objective, on a mini-batch of
+    (x, y) drawn with ``rng`` when ``cfg.batch_size`` asks for one."""
+    idx = _minibatch(rng, x.shape[0], cfg.batch_size)
+    if idx is not None:
+        x, y = x[idx], y[idx]
     pred, cache = model.forward(x)
     resid = pred - y
     data_loss = float(((resid * resid) @ model.output_grid.trapezoid_weights).mean())
@@ -201,11 +206,9 @@ def _objective_step(model, x, y, cfg, optimizer, iteration):
             g += pg
     else:
         pen_value = 0.0
-    objective = data_loss + pen_value
-    if not np.isfinite(objective):
+    if not np.isfinite(data_loss + pen_value):
         raise TrainingDiverged(iteration)
     optimizer.step(model.parameters(), grads)
-    return objective
 
 
 def _minibatch(rng, n, batch_size):
@@ -225,13 +228,8 @@ def train_fixed(model, x, y, iterations: int, cfg: TrainConfig) -> FitResult:
     optimizer = _make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
     history = np.empty(iterations)
-    square = None
     for i in range(1, iterations + 1):
-        idx = _minibatch(rng, x.shape[0], cfg.batch_size)
-        if idx is None:
-            _objective_step(model, x, y, cfg, optimizer, i)
-        else:
-            _objective_step(model, x[idx], y[idx], cfg, optimizer, i)
+        _objective_step(model, x, y, cfg, optimizer, rng, i)
         square = quadratic_loss(model.predict(x), y, model.output_grid)
         if not np.isfinite(square):
             raise TrainingDiverged(i)
@@ -275,11 +273,7 @@ def train_early_stopping(model, train, val, cfg: TrainConfig) -> FitResult:
     stopping_iteration = 0
     try:
         for i in range(1, cfg.max_iterations + 1):
-            idx = _minibatch(rng, x_train.shape[0], cfg.batch_size)
-            if idx is None:
-                _objective_step(model, x_train, y_train, cfg, optimizer, i)
-            else:
-                _objective_step(model, x_train[idx], y_train[idx], cfg, optimizer, i)
+            _objective_step(model, x_train, y_train, cfg, optimizer, rng, i)
             train_now = quadratic_loss(model.predict(x_train), y_train, grid)
             val_now = quadratic_loss(model.predict(x_val), y_val, grid)
             if not (np.isfinite(train_now) and np.isfinite(val_now)):
@@ -323,6 +317,27 @@ def _kfold_indices(n: int, k: int, rng) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, k)]
 
 
+def _cv_folds(data, k: int, seed):
+    """``(x, y, folds, seeds)``: k shuffled folds of the (x, y) pair
+    ``data`` and k + 1 seeds for the models fitted on them."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    x, y = (np.asarray(a, dtype=float) for a in data)
+    n = x.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} available samples")
+    children = np.random.SeedSequence(seed).spawn(k + 2)
+    return x, y, _kfold_indices(n, k, np.random.default_rng(children[0])), children[1:]
+
+
+def _fold_fit(model_factory, seed, x, y, val_idx, cfg) -> FitResult:
+    """Early-stop a new model on the curves outside ``val_idx``,
+    validating on those inside."""
+    train_idx = np.setdiff1d(np.arange(x.shape[0]), val_idx)
+    return train_early_stopping(model_factory(seed), (x[train_idx], y[train_idx]),
+                                (x[val_idx], y[val_idx]), cfg)
+
+
 def cv_early_stopping(model_factory, data, k: int = 5, strategy: str = "mean",
                       cfg: TrainConfig | None = None):
     """K-fold cross-validated early stopping.
@@ -338,30 +353,15 @@ def cv_early_stopping(model_factory, data, k: int = 5, strategy: str = "mean",
         cfg = TrainConfig()
     if strategy not in ES_STRATEGIES:
         raise ValueError(f"strategy must be one of {ES_STRATEGIES}")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    x, y = (np.asarray(a, dtype=float) for a in data)
-    n = x.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds the {n} available samples")
-
-    children = np.random.SeedSequence(cfg.seed).spawn(k + 2)
-    shuffle_seed, fold_seeds, retrain_seed = children[0], children[1:-1], children[-1]
-    folds = _kfold_indices(n, k, np.random.default_rng(shuffle_seed))
+    x, y, folds, seeds = _cv_folds(data, k, cfg.seed)
+    fold_seeds, retrain_seed = seeds[:-1], seeds[-1]
 
     best_iters: list[int] = []
     val_losses: list[float] = []
     fold_models = []
     for fold_idx, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(n), val_idx)
         init_seed = fold_seeds[0] if strategy == "wavg" else fold_seeds[fold_idx]
-        model = model_factory(init_seed)
-        res = train_early_stopping(
-            model,
-            (x[train_idx], y[train_idx]),
-            (x[val_idx], y[val_idx]),
-            cfg,
-        )
+        res = _fold_fit(model_factory, init_seed, x, y, val_idx, cfg)
         best_iters.append(res.best_iteration)
         val_losses.append(res.best_val_loss)
         if strategy == "wavg":
@@ -409,16 +409,7 @@ def tune_lambda(model_factory, data, lam_grid, k: int = 5,
             pairs.append((float(lam_b), float(lam_w)))
     if not pairs:
         raise ValueError("lambda grid is empty")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    x, y = (np.asarray(a, dtype=float) for a in data)
-    n = x.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds the {n} available samples")
-
-    children = np.random.SeedSequence(cfg.seed).spawn(k + 1)
-    shuffle_seed, fold_seeds = children[0], children[1:]
-    folds = _kfold_indices(n, k, np.random.default_rng(shuffle_seed))
+    x, y, folds, fold_seeds = _cv_folds(data, k, cfg.seed)
 
     best_pair = None
     best_score = math.inf
@@ -426,14 +417,7 @@ def tune_lambda(model_factory, data, lam_grid, k: int = 5,
         run_cfg = cfg.replace(lam_b=lam_b, lam_w=lam_w)
         scores = []
         for fold_idx, val_idx in enumerate(folds):
-            train_idx = np.setdiff1d(np.arange(n), val_idx)
-            model = model_factory(fold_seeds[fold_idx])
-            res = train_early_stopping(
-                model,
-                (x[train_idx], y[train_idx]),
-                (x[val_idx], y[val_idx]),
-                run_cfg,
-            )
+            res = _fold_fit(model_factory, fold_seeds[fold_idx], x, y, val_idx, run_cfg)
             scores.append(res.best_val_loss)
         score = float(np.mean(scores))
         if score <= best_score:

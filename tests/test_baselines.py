@@ -140,10 +140,9 @@ def test_fflm_intercept_values_shape():
 
 def test_vnn_zero_weights_predict_zero():
     net = vnn_init(1, 12, 8, hidden=(6,), seed=0)
-    for w in net.weights:
-        w[:] = 0.0
-    for b in net.biases:
-        b[:] = 0.0
+    for layer in net.layers:
+        layer.w[:] = 0.0
+        layer.b[:] = 0.0
     x = np.random.default_rng(1).normal(size=(4, 1, 12))
     npt.assert_array_equal(net.predict(x), np.zeros((4, 8)))
 
@@ -190,9 +189,9 @@ def test_vnn_init_determinism():
     a = vnn_init(1, 10, 6, hidden=(5,), seed=8)
     b = vnn_init(1, 10, 6, hidden=(5,), seed=8)
     c = vnn_init(1, 10, 6, hidden=(5,), seed=9)
-    for wa, wb in zip(a.weights, b.weights):
-        npt.assert_array_equal(wa, wb)
-    assert any(np.abs(wa - wc).max() > 1e-12 for wa, wc in zip(a.weights, c.weights))
+    for pa, pb in zip(a.parameters(), b.parameters()):
+        npt.assert_array_equal(pa, pb)
+    assert any(np.abs(la.w - lc.w).max() > 1e-12 for la, lc in zip(a.layers, c.layers))
 
 
 def test_vnn_validates_input_shape():

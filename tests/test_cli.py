@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from funcnet import datagen, fdnn
+from funcnet import baselines, datagen, fbnn, fdnn, training
 from funcnet.cli import main
 from funcnet.training import rmse
 
@@ -62,29 +62,32 @@ def test_simulate_is_deterministic_in_seed(tmp_path):
 
 def test_fit_early_stopping_writes_artifacts(tmp_path):
     data = simulate_small(tmp_path)
-    out = tmp_path / "fit"
-    code = run("fit", "--data", data, "--model", "fdnn", "--seed", "1",
-               "--out", out, *FIT_FAST)
-    assert code == 0
-
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["model"] == "fdnn"
-    assert metrics["mode"] == "early-stopping"
-    for key in ("train_rmse", "val_rmse", "test_rmse"):
-        assert np.isfinite(metrics[key])
-    assert metrics["best_iteration"] <= metrics["stopping_iteration"]
-
-    with open(out / "history.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "train_loss", "val_loss"]
-    assert len(rows) > 1
-
-    # the saved model must reproduce the reported test RMSE exactly
-    net = fdnn.FdnnNetwork.from_dict(json.loads((out / "model.json").read_text()))
     full = datagen.load_table(str(data), 9, 7)
     _, _, test = datagen.split(full, datagen.SplitSpec(14, 5, 7, seed=0))
-    npt.assert_allclose(rmse(net.predict(test.x), test.y, test.y_grid),
-                        metrics["test_rmse"], rtol=1e-12)
+    classes = {"fdnn": fdnn.FdnnNetwork, "fbnn": fbnn.FbnnNetwork,
+               "vnn": baselines.VectorNN}
+    for model, cls in classes.items():
+        out = tmp_path / model
+        code = run("fit", "--data", data, "--model", model, "--seed", "1",
+                   "--num-basis", "5", "--hidden", "6", "--out", out, *FIT_FAST)
+        assert code == 0
+
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["model"] == model
+        assert metrics["mode"] == "early-stopping"
+        for key in ("train_rmse", "val_rmse", "test_rmse"):
+            assert np.isfinite(metrics[key])
+        assert metrics["best_iteration"] <= metrics["stopping_iteration"]
+
+        with open(out / "history.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iteration", "train_loss", "val_loss"]
+        assert len(rows) > 1
+
+        # the saved model must reproduce the reported test RMSE exactly
+        net = cls.from_dict(json.loads((out / "model.json").read_text()))
+        npt.assert_allclose(rmse(net.predict(test.x), test.y, test.y_grid),
+                            metrics["test_rmse"], rtol=1e-12)
 
 
 def test_fit_reads_grid_layout_from_sidecar(tmp_path):
@@ -184,6 +187,39 @@ def test_early_stopping_without_validation_is_usage_error(tmp_path, capsys, mode
                *FIT_FAST[:-6], "--n-train", "19", "--n-val", "0", "--n-test", "7")
     assert code == 1
     assert "at least one validation curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [
+    ("--n-train", "30"),
+    ("--n-val", "8", "--n-test", "10"),
+    ("--n-train", "30", "--n-test", "10"),
+])
+def test_partial_split_flags_are_usage_error(tmp_path, capsys, given):
+    data = simulate_small(tmp_path, n=48)
+    code = run("fit", "--data", data, "--model", "fflm", "--num-basis", "5",
+               "--out", tmp_path / "fit", *given)
+    assert code == 1
+    flags = ("--n-train", "--n-val", "--n-test")
+    named = capsys.readouterr().err.split("missing", 1)[1]
+    assert {flag for flag in flags if flag in named} == set(flags) - set(given)
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("flags", [("--lam", "0.01"), ("--lam-b", "0.01"),
+                                   ("--lam-w", "0.01"), ("--lam-grid", "0,0.1")])
+def test_fit_rejects_penalised_vnn_before_training(tmp_path, capsys, monkeypatch, flags):
+    def train(*args, **kwargs):
+        raise AssertionError("training ran before the usage check")
+
+    for name in ("train_early_stopping", "train_fixed", "tune_lambda", "cv_early_stopping"):
+        monkeypatch.setattr(training, name, train)
+    data = simulate_small(tmp_path)
+    out = tmp_path / "fit"
+    code = run("fit", "--data", data, "--model", "vnn", "--hidden", "4",
+               "--out", out, *FIT_FAST, *flags)
+    assert code == 1
+    assert "vnn" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bool_options_reject_unknown_words(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_intercept_penalty_is_curvature_only():
     value = net.penalty(1.0, 0.0)[0]
     expected = 0.0
     for layer in net.layers:
-        pen = layer.curvature_matrix()
+        pen = layer.curvature_matrix
         for k in range(layer.out_count):
             expected += float(layer.b_coef[k] @ pen @ layer.b_coef[k])
     npt.assert_allclose(value, expected, rtol=1e-12)

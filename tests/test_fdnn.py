@@ -5,8 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from funcnet import fdnn
+from funcnet import fbnn, fdnn
 from funcnet.activations import Activation
+from funcnet.baselines import vnn_init
+from funcnet.fbnn import FbnnConfig
 from funcnet.fdnn import FdnnConfig, FdnnLayer, FdnnNetwork
 from funcnet.grids import Grid, second_diff
 from funcnet.training import grad_check, quadratic_loss
@@ -241,17 +243,24 @@ def test_gradients_survive_later_predicts_and_penalties():
 
 
 def test_backward_rejects_a_stale_cache():
-    net = small_net(seed=16)
+    # every network kind runs the same loop, so the stamp guards them all
+    makers = (
+        small_net,
+        lambda seed: fbnn.init(FbnnConfig(10, 8, 1, (2,), (8,), 5, 5, 5), seed=seed),
+        lambda seed: vnn_init(1, 10, 8, hidden=(5, 4), seed=seed),
+    )
     rng = np.random.default_rng(7)
     x, y = rng.normal(size=(4, 1, 10)), rng.normal(size=(4, 8))
-    pred, cache = net.forward(x)
-    net.predict(x)  # predict keeps the cache valid
-    net.backward(cache, pred - y)
-    net.forward(x)
-    with pytest.raises(ValueError, match="stale"):
+    for make in makers:
+        net = make(16)
+        pred, cache = net.forward(x)
+        net.predict(x)  # predict keeps the cache valid
         net.backward(cache, pred - y)
-    with pytest.raises(ValueError, match="stale"):
-        small_net(seed=16).backward(net.forward(x)[1], pred - y)
+        net.forward(x)
+        with pytest.raises(ValueError, match="stale"):
+            net.backward(cache, pred - y)
+        with pytest.raises(ValueError, match="stale"):
+            make(16).backward(net.forward(x)[1], pred - y)
 
 
 def test_mixed_batch_sizes_match_loop_oracle():

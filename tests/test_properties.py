@@ -1,0 +1,78 @@
+"""Property checks over random small architectures of every network kind:
+exact gradients, serialization round trips and, for the basis network,
+equivalence with its direct expansion."""
+
+import json
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from funcnet import fbnn, fdnn
+from funcnet.baselines import VectorNN, vnn_init
+from funcnet.fbnn import FbnnConfig, FbnnNetwork, expand_to_direct
+from funcnet.fdnn import FdnnConfig, FdnnNetwork
+from funcnet.training import grad_check
+
+KINDS = ("fdnn", "fbnn", "vnn")
+CLASSES = {"fdnn": FdnnNetwork, "fbnn": FbnnNetwork, "vnn": VectorNN}
+
+# 0-2 hidden layers of 1-3 neurons on grids of 4-9 points
+ARCHITECTURES = st.fixed_dictionaries({
+    "hidden": st.lists(st.tuples(st.integers(1, 3), st.integers(4, 9)), max_size=2),
+    "m": st.integers(4, 9),
+    "m_y": st.integers(4, 9),
+    "num_basis": st.integers(4, 6),
+    "activation": st.sampled_from(["tanh", "sigmoid"]),
+    "seed": st.integers(0, 2**16),
+})
+
+FEW = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def make(kind, arch):
+    neurons = tuple(k for k, _ in arch["hidden"])
+    points = tuple(m for _, m in arch["hidden"])
+    m, m_y, act, seed = arch["m"], arch["m_y"], arch["activation"], arch["seed"]
+    if kind == "fdnn":
+        return fdnn.init(FdnnConfig(m, m_y, 1, neurons, points, act), seed)
+    if kind == "fbnn":
+        nb = arch["num_basis"]
+        return fbnn.init(FbnnConfig(m, m_y, 1, neurons, points, nb, nb, nb, 4, act), seed)
+    return vnn_init(1, m, m_y, neurons, act, seed)
+
+
+def batch(arch, n=3):
+    rng = np.random.default_rng(arch["seed"] + 1)
+    return rng.normal(size=(n, 1, arch["m"])), rng.normal(size=(n, arch["m_y"]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@FEW
+@given(arch=ARCHITECTURES)
+def test_gradients_match_finite_differences(kind, arch):
+    # some coordinates of these small nets have gradients near 1e-8, where
+    # the roundoff of a central difference with eps = 1e-5 alone reaches
+    # 1e-4 of the gradient; eps = 1e-4 keeps it well below
+    x, y = batch(arch)
+    assert grad_check(make(kind, arch), x, y, eps=1e-4) <= 1e-4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@FEW
+@given(arch=ARCHITECTURES)
+def test_model_document_round_trip_predicts_identically(kind, arch):
+    net = make(kind, arch)
+    x, _ = batch(arch, n=5)
+    clone = CLASSES[kind].from_dict(json.loads(json.dumps(net.to_dict())))
+    npt.assert_array_equal(clone.predict(x), net.predict(x))
+
+
+@FEW
+@given(arch=ARCHITECTURES)
+def test_expand_to_direct_predicts_the_same(arch):
+    net = make("fbnn", arch)
+    x, _ = batch(arch, n=5)
+    npt.assert_allclose(expand_to_direct(net).predict(x), net.predict(x), rtol=0, atol=1e-10)
