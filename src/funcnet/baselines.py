@@ -109,8 +109,8 @@ def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
     The intercept is unpenalized.  Raises if the normal matrix is not
     positive definite (under-determined at lam=0).
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
     x = np.asarray(data.x, dtype=float)
     y = np.asarray(data.y, dtype=float)
     n, r_count, _ = x.shape

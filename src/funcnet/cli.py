@@ -38,8 +38,41 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in str(text).split(",") if part.strip())
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+_finite.__name__ = "finite float"  # argparse names the cast in its message
+
+
+def _finite_or_inf(text: str) -> float:
+    value = float(text)
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"expected a finite number or inf, got {text!r}")
+    return value
+
+
+_finite_or_inf.__name__ = "finite (or inf) float"
+
+
+def _at_least(low: int):
+    """Cast to an int of at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+
+    count.__name__ = f"integer >= {low}"
+    return count
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+    return tuple(_finite(part) for part in str(text).split(",") if part.strip())
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -69,20 +102,20 @@ _SIM_DEFAULTS = {
     "n": (int, 1100),
     "m": (int, 100),
     "m_y": (int, 75),
-    "sigma2": (float, 1.0),
-    "rho": (float, 0.5),
-    "nu": (float, 2.5),
+    "sigma2": (_finite, 1.0),
+    "rho": (_finite, 0.5),
+    "nu": (_finite, 2.5),
     **_COMMON,
 }
 _TRAIN_DEFAULTS = {
-    "step_size": (float, 1e-2),
-    "max_iterations": (int, 2000),
-    "patience": (float, 100),
+    "step_size": (_finite, 1e-2),
+    "max_iterations": (_at_least(0), 2000),
+    "patience": (_finite_or_inf, 100),
     "optimizer": (str, "adam", training.OPTIMIZERS),
-    "batch_size": (int, None),
-    "lam": (float, None),
-    "lam_b": (float, 0.0),
-    "lam_w": (float, 0.0),
+    "batch_size": (_at_least(1), None),
+    "lam": (_finite, None),
+    "lam_b": (_finite, 0.0),
+    "lam_w": (_finite, 0.0),
 }
 _ARCH_DEFAULTS = {
     "neurons": (_int_list, (4,)),
@@ -99,7 +132,7 @@ _FIT_DEFAULTS = {
     "mode": (str, "early-stopping", ("early-stopping", "cv", "fixed")),
     "cv_strategy": (str, "mean", training.ES_STRATEGIES),
     "folds": (int, 5),
-    "iterations": (int, 1000),
+    "iterations": (_at_least(0), 1000),
     **_ARCH_DEFAULTS,
     **_TRAIN_DEFAULTS,
     "lam_grid": (_float_list, None),
@@ -112,20 +145,20 @@ _FIT_DEFAULTS = {
 _BENCH_DEFAULTS = {
     "scenarios": (_str_list, ("linear",)),
     "models": (_str_list, ("fdnn",)),
-    "replicates": (int, 10),
+    "replicates": (_at_least(1), 10),
     "n": (int, 1100),
     "m": (int, 100),
     "m_y": (int, 75),
     "first_term": (str, "as_printed", _FIRST_TERMS),
     **_ARCH_DEFAULTS,
     **_TRAIN_DEFAULTS,
-    "workers": (int, 1),
+    "workers": (_at_least(1), 1),
     "write_params": (_bool, True),
     **_COMMON,
 }
 _GRADCHECK_DEFAULTS = {
-    "eps": (float, 1e-5),
-    "tolerance": (float, 1e-4),
+    "eps": (_finite, 1e-5),
+    "tolerance": (_finite, 1e-4),
     **_COMMON,
     "corrupt": (_bool, False),
 }
@@ -202,9 +235,9 @@ def _apply_config_file(args: argparse.Namespace, table: dict):
 
 
 def _write_json(path, doc):
+    text = json.dumps(doc, indent=2, allow_nan=False)  # NaN is not JSON
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -277,12 +310,24 @@ def _smoothing(args) -> tuple[float, float]:
     return args.lam_b, args.lam_w
 
 
-def _check_vnn_smoothing(args, models):
-    """Refuse a roughness penalty for vnn before any work is done."""
+def _check_smoothing(args, models, m, m_y):
+    """Refuse, before any work is done, a roughness penalty that vnn does
+    not have or that fdnn cannot take on a grid of fewer than 3 points
+    (the second differences need 3)."""
+    lam_b, lam_w = _smoothing(args)
     grid = getattr(args, "lam_grid", None) or ()
-    if "vnn" in models and (max(_smoothing(args)) > 0 or any(grid)):
+    if not (lam_b > 0 or lam_w > 0 or any(grid)):
+        return
+    if "vnn" in models:
         raise _UsageError("model vnn has no roughness penalty; leave --lam, --lam-b, "
                           "--lam-w and --lam-grid at 0 for it")
+    # intercepts live on the hidden and output grids, weights also on the input grid
+    points = (args.grid_points if args.neurons else ()) + (m_y,)
+    if lam_w > 0 or any(grid):
+        points += (m,)
+    if "fdnn" in models and min(points) < 3:
+        raise _UsageError("a penalised fdnn needs at least 3 points on every grid "
+                          "(--m, --m-y, --grid-points); raise them or drop the penalty")
 
 
 def _split_sizes(args):
@@ -302,7 +347,7 @@ def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(
         step_size=args.step_size,
         max_iterations=args.max_iterations,
-        patience=args.patience if math.isfinite(args.patience) else math.inf,
+        patience=args.patience,
         optimizer=args.optimizer,
         batch_size=args.batch_size,
         lam_b=lam_b,
@@ -339,9 +384,9 @@ def _fit_fflm(merged, args, lam_grid=None):
 def cmd_fit(args) -> int:
     if not args.data:
         raise _UsageError("fit requires --data PATH")
-    _check_vnn_smoothing(args, [args.model])
     sizes = _split_sizes(args)
     m, m_y = _resolve_layout(args)
+    _check_smoothing(args, [args.model], m, m_y)
     data = datagen.load_table(args.data, m, m_y)
     spec = datagen.SplitSpec(*(sizes or _default_split(data.n)), args.split_seed)
     train, val, test = datagen.split(data, spec)
@@ -512,7 +557,7 @@ def cmd_benchmark(args) -> int:
     for name in args.scenarios:
         if name not in datagen.SCENARIOS:
             raise _UsageError(f"unknown scenario {name!r}")
-    _check_vnn_smoothing(args, args.models)
+    _check_smoothing(args, args.models, args.m, args.m_y)
     os.makedirs(args.out, exist_ok=True)
     tasks = _benchmark_tasks(args)
     args_dict = vars(args).copy()

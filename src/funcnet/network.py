@@ -169,13 +169,17 @@ class Network:
         The loss is mean-over-samples of the trapezoid integral of the
         squared residual.  Gradients come back interleaved like
         :meth:`parameters`.  ``cache`` must come from this network's most
-        recent :meth:`forward`; an older one raises ValueError.
+        recent :meth:`forward`; an older one raises ValueError.  That
+        forward may have run on more curves than there are residuals: the
+        batch is then its first ``residuals.shape[0]`` curves, whose
+        cached rows are the same as those of a forward on them alone.
         """
         if getattr(cache, "stamp", None) != self._forwards:
             raise ValueError("stale cache: backward needs this network's latest forward")
         n = residuals.shape[0]
-        if len(cache) != len(self.layers) or cache[0][0].shape[0] != n:
+        if len(cache) != len(self.layers) or cache[0][0].shape[0] < n:
             raise ValueError("cache does not match this network/batch")
+        cache = [tuple(None if arr is None else arr[:n] for arr in entry) for entry in cache]
         qy = self.output_grid.trapezoid_weights
         delta_h = (2.0 / n) * residuals * qy  # d loss / d prediction values
         last = len(self.layers) - 1

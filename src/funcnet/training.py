@@ -3,10 +3,17 @@
 The networks trained here (FdnnNetwork, FbnnNetwork, VectorNN) share
 one surface, defined once in :class:`funcnet.network.Network`:
 ``forward`` (predictions and a cache valid until the next ``forward``),
-``backward`` (exact gradients of the discretized quadratic loss),
-``predict``, ``parameters`` / ``set_parameters`` (live arrays,
+``backward`` (exact gradients of the discretized quadratic loss, from
+the leading rows of a cache when there are fewer residuals than cached
+curves), ``predict``, ``parameters`` / ``set_parameters`` (live arrays,
 interleaved intercept/weight), ``penalty`` and ``output_grid``.  The
-loops below never look inside a model beyond that.
+loops below never look inside a model or a cache beyond that.
+
+:func:`train_fixed` and :func:`train_early_stopping` share one loop.
+On the full batch it runs one ``forward`` per iteration, on the train
+and validation curves stacked once: that pass scores the previous step
+(logged losses, early-stopping decision) and its train rows are the
+cache for this step's ``backward``.
 """
 
 from __future__ import annotations
@@ -128,16 +135,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.patience < 1:
+        # written so that NaN fails each check
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not self.patience >= 1:
             raise ValueError("patience must be at least 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.lam_b < 0 or self.lam_w < 0:
-            raise ValueError("smoothing parameters must be non-negative")
+        if not (0 <= self.lam_b < math.inf and 0 <= self.lam_w < math.inf):
+            raise ValueError("smoothing parameters must be finite and non-negative")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 
@@ -163,15 +171,17 @@ class FitResult:
             "schema_version": SCHEMA_VERSION,
             "stopping_iteration": self.stopping_iteration,
             "best_iteration": self.best_iteration,
-            "best_val_loss": self.best_val_loss,
+            # a run of no iterations has no best loss: null, since NaN is not JSON
+            "best_val_loss": self.best_val_loss if math.isfinite(self.best_val_loss) else None,
             "test_rmse": self.test_rmse,
             "train_loss": np.asarray(self.train_loss).tolist(),
             "val_loss": None
             if self.val_loss is None
             else np.asarray(self.val_loss).tolist(),
         }
+        text = json.dumps(doc, indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -190,15 +200,10 @@ def _copy_params(model):
     return [p.copy() for p in model.parameters()]
 
 
-def _objective_step(model, x, y, cfg, optimizer, rng, iteration):
-    """One gradient update of the penalized objective, on a mini-batch of
-    (x, y) drawn with ``rng`` when ``cfg.batch_size`` asks for one."""
-    idx = _minibatch(rng, x.shape[0], cfg.batch_size)
-    if idx is not None:
-        x, y = x[idx], y[idx]
-    pred, cache = model.forward(x)
-    resid = pred - y
-    data_loss = float(((resid * resid) @ model.output_grid.trapezoid_weights).mean())
+def _step(model, cache, resid, data_loss, cfg, optimizer, iteration):
+    """One gradient update of the penalized objective, from the forward
+    ``cache`` whose leading rows gave the residuals ``resid`` and the
+    unpenalized loss ``data_loss``."""
     grads = model.backward(cache, resid)
     if cfg.lam_b > 0 or cfg.lam_w > 0:
         pen_value, pen_grads = model.penalty(cfg.lam_b, cfg.lam_w)
@@ -211,10 +216,93 @@ def _objective_step(model, x, y, cfg, optimizer, rng, iteration):
     optimizer.step(model.parameters(), grads)
 
 
-def _minibatch(rng, n, batch_size):
-    if batch_size is None or batch_size >= n:
-        return None
-    return rng.choice(n, size=batch_size, replace=False)
+def _train(model, train, val, iterations: int, cfg: TrainConfig) -> FitResult:
+    """The training loop behind :func:`train_fixed` and
+    :func:`train_early_stopping`.
+
+    Iteration i takes one optimizer step on the penalized loss of the
+    ``train`` pair and logs the unpenalized losses of the parameters it
+    leaves, on ``train`` and, when given, on the ``val`` pair.  With
+    ``val`` the loop stops after ``cfg.patience`` iterations without a
+    validation improvement, and the model ends with its best-validation
+    parameters, also when :class:`TrainingDiverged` propagates.
+
+    On the full batch, the forward pass that makes a step's gradient
+    also scores the previous step: one ``forward`` on the stacked
+    [train; val] curves gives the logged losses, the stopping decision
+    and the cache whose train rows ``backward`` uses.  A final
+    ``forward`` scores the last step.  A mini-batch forward sees only
+    its batch, so each step is scored by a ``predict`` on every curve.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    x, y = (np.asarray(a, dtype=float) for a in train)
+    n = x.shape[0]
+    x_all = x
+    if val is not None:
+        x_val, y_val = (np.asarray(a, dtype=float) for a in val)
+        if x_val.shape[0] == 0:
+            raise ValueError("early stopping needs at least one validation curve")
+        x_all = np.concatenate([x, x_val])
+    full_batch = cfg.batch_size is None or cfg.batch_size >= n
+    grid = model.output_grid
+    optimizer = _make_optimizer(cfg)
+    rng = np.random.default_rng(cfg.seed)
+
+    train_hist: list[float] = []
+    val_hist: list[float] = []
+    best_val, best_iteration, best_params, since_improved = math.nan, 0, None, 0
+    try:
+        for i in range(iterations + 1):
+            # score the parameters after i steps
+            if full_batch:
+                pred, cache = model.forward(x_all)
+            elif i > 0 or val is not None:
+                pred = model.predict(x_all)
+            if full_batch or i > 0:
+                train_now = quadratic_loss(pred[:n], y, grid)
+            if val is not None:
+                val_now = quadratic_loss(pred[n:], y_val, grid)
+            if i > 0:
+                if not np.isfinite(train_now) or (val is not None and not np.isfinite(val_now)):
+                    raise TrainingDiverged(i)
+                train_hist.append(train_now)
+                if val is not None:
+                    val_hist.append(val_now)
+            if val is not None:
+                if i == 0 or val_now < best_val:
+                    best_val, best_iteration = val_now, i
+                    best_params = _copy_params(model)
+                    since_improved = 0
+                else:
+                    since_improved += 1
+                    if since_improved >= cfg.patience:
+                        break
+            if i == iterations:
+                break
+            if full_batch:
+                resid = pred[:n] - y
+            else:
+                idx = rng.choice(n, size=cfg.batch_size, replace=False)
+                pred, cache = model.forward(x[idx])
+                resid = pred - y[idx]
+                train_now = float(((resid * resid) @ grid.trapezoid_weights).mean())
+            _step(model, cache, resid, train_now, cfg, optimizer, i + 1)
+    finally:  # on divergence too, early stopping keeps the best parameters
+        if best_params is not None:
+            model.set_parameters(best_params)
+
+    if val is None:  # the last parameters are the result
+        best_val = train_hist[-1] if train_hist else math.nan
+        best_iteration, best_params = iterations, _copy_params(model)
+    return FitResult(
+        train_loss=np.asarray(train_hist),
+        val_loss=None if val is None else np.asarray(val_hist),
+        stopping_iteration=len(train_hist),
+        best_iteration=best_iteration,
+        best_val_loss=float(best_val),
+        parameters=best_params,
+    )
 
 
 def train_fixed(model, x, y, iterations: int, cfg: TrainConfig) -> FitResult:
@@ -223,25 +311,7 @@ def train_fixed(model, x, y, iterations: int, cfg: TrainConfig) -> FitResult:
     The model keeps its final parameters.  Used to retrain after CV
     aggregation and for penalty-only fits.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    optimizer = _make_optimizer(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    history = np.empty(iterations)
-    for i in range(1, iterations + 1):
-        _objective_step(model, x, y, cfg, optimizer, rng, i)
-        square = quadratic_loss(model.predict(x), y, model.output_grid)
-        if not np.isfinite(square):
-            raise TrainingDiverged(i)
-        history[i - 1] = square
-    return FitResult(
-        train_loss=history,
-        val_loss=None,
-        stopping_iteration=iterations,
-        best_iteration=iterations,
-        best_val_loss=float(history[-1]) if iterations else math.nan,
-        parameters=_copy_params(model),
-    )
+    return _train(model, (x, y), None, iterations, cfg)
 
 
 def train_early_stopping(model, train, val, cfg: TrainConfig) -> FitResult:
@@ -255,52 +325,7 @@ def train_early_stopping(model, train, val, cfg: TrainConfig) -> FitResult:
     parameters, counting the initial state as iteration 0.  The model is
     restored the same way before :class:`TrainingDiverged` propagates.
     """
-    x_train, y_train = (np.asarray(a, dtype=float) for a in train)
-    x_val, y_val = (np.asarray(a, dtype=float) for a in val)
-    if x_val.shape[0] == 0:
-        raise ValueError("early stopping needs at least one validation curve")
-    grid = model.output_grid
-    optimizer = _make_optimizer(cfg)
-    rng = np.random.default_rng(cfg.seed)
-
-    best_val = quadratic_loss(model.predict(x_val), y_val, grid)
-    best_params = _copy_params(model)
-    best_iteration = 0
-    since_improved = 0
-    train_hist: list[float] = []
-    val_hist: list[float] = []
-
-    stopping_iteration = 0
-    try:
-        for i in range(1, cfg.max_iterations + 1):
-            _objective_step(model, x_train, y_train, cfg, optimizer, rng, i)
-            train_now = quadratic_loss(model.predict(x_train), y_train, grid)
-            val_now = quadratic_loss(model.predict(x_val), y_val, grid)
-            if not (np.isfinite(train_now) and np.isfinite(val_now)):
-                raise TrainingDiverged(i)
-            train_hist.append(train_now)
-            val_hist.append(val_now)
-            stopping_iteration = i
-            if val_now < best_val:
-                best_val = val_now
-                best_iteration = i
-                best_params = _copy_params(model)
-                since_improved = 0
-            else:
-                since_improved += 1
-                if since_improved >= cfg.patience:
-                    break
-    finally:  # on divergence too, the model keeps its best parameters
-        model.set_parameters(best_params)
-
-    return FitResult(
-        train_loss=np.asarray(train_hist),
-        val_loss=np.asarray(val_hist),
-        stopping_iteration=stopping_iteration,
-        best_iteration=best_iteration,
-        best_val_loss=float(best_val),
-        parameters=best_params,
-    )
+    return _train(model, train, val, cfg.max_iterations, cfg)
 
 
 @dataclass
@@ -434,6 +459,8 @@ def fd_error(objective, params, grads, eps: float = 1e-5,
     random subset of ``max_coords`` per array) moved by ±eps in place;
     the denominator is max(|analytic|, |numeric|, 1e-8).
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for param, grad in zip(params, grads):

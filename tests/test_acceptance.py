@@ -3,8 +3,8 @@
 Each test prints one ``[criterion NN] PASS/FAIL`` line with its measured
 quantities (written to the real stdout so the checklist is visible under
 capture).  Criteria 3-5 rerun the headline simulation comparisons at ten
-replicates with fixed seeds; the whole gate takes roughly 30-40 minutes
-on one CPU.  Replicate ``i`` always draws data with seed 100+i, splits
+replicates with fixed seeds; the whole gate takes about 10 minutes on
+two cores.  Replicate ``i`` always draws data with seed 100+i, splits
 with 200+i, and initializes models with 300+i (vector NN), 400+i (direct
 networks) and 500+i (basis networks), so every number here reproduces
 bit-for-bit.

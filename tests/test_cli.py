@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from funcnet import baselines, datagen, fbnn, fdnn, training
+from funcnet import baselines, cli, datagen, fbnn, fdnn, training
 from funcnet.cli import main
 from funcnet.training import rmse
 
@@ -220,6 +220,82 @@ def test_fit_rejects_penalised_vnn_before_training(tmp_path, capsys, monkeypatch
     assert code == 1
     assert "vnn" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--lam", "nan"), ("--patience", "nan"),
+                                   ("--lam-grid", "nan,1"), ("--lam-b", "inf")])
+def test_fit_rejects_non_finite_floats(tmp_path, capsys, flags):
+    data = simulate_small(tmp_path)
+    out = tmp_path / "fit"
+    assert run("fit", "--data", data, "--out", out, *FIT_FAST, *flags) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+    # inf is a patience: train until the iteration cap
+    assert run("fit", "--data", data, "--out", out, *FIT_FAST, "--patience", "inf") == 0
+    assert json.loads((out / "metrics.json").read_text())["stopping_iteration"] == 25
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--tolerance", "nan", "--corrupt"), "--tolerance"),
+    (("--eps", "nan"), "--eps"),
+    (("--eps", "0"), "eps"),
+])
+def test_gradcheck_rejects_settings_that_switch_the_audit_off(tmp_path, capsys, flags, named):
+    assert run("gradcheck", "--out", tmp_path / "gc", *flags) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "OK" not in captured.out
+
+
+def test_json_outputs_refuse_nan(tmp_path):
+    path = tmp_path / "metrics.json"
+    with pytest.raises(ValueError):
+        cli._write_json(path, {"lam_b": float("nan")})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("fit", "--mode", "fixed", "--iterations", "-3"), "--iterations"),
+    (("fit", "--max-iterations", "-1"), "--max-iterations"),
+    (("benchmark", "--workers", "0"), "--workers"),
+    (("benchmark", "--workers", "-1"), "--workers"),
+    (("benchmark", "--replicates", "0"), "--replicates"),
+])
+def test_count_flags_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
+    def read(*args, **kwargs):
+        raise AssertionError("data read before the usage check")
+
+    monkeypatch.setattr(datagen, "generate", read)
+    monkeypatch.setattr(datagen, "load_table", read)
+    data = ("--data", tmp_path / "d.csv") if argv[0] == "fit" else ("--n", "30")
+    out = tmp_path / "out"
+    assert run(*argv, *data, "--m", "9", "--m-y", "7", "--out", out) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--grid-points", "2", "--lam", "0.1"),
+    ("--grid-points", "2", "--lam-b", "0.1"),
+    ("--m-y", "2", "--lam-b", "0.1"),
+    ("--m", "2", "--lam-w", "0.1"),
+    ("--grid-points", "2", "--lam-grid", "0,0.1"),
+])
+def test_penalised_fdnn_on_a_two_point_grid_is_refused_before_reading_data(
+        tmp_path, capsys, monkeypatch, flags):
+    def read(*args, **kwargs):
+        raise AssertionError("data read before the usage check")
+
+    data = simulate_small(tmp_path)
+    monkeypatch.setattr(datagen, "generate", read)
+    monkeypatch.setattr(datagen, "load_table", read)
+    fit_out, bench_out = tmp_path / "fit", tmp_path / "bench"
+    assert run("fit", "--data", data, "--out", fit_out, *FIT_FAST, *flags) == 1
+    assert "at least 3 points" in capsys.readouterr().err
+    if "--lam-grid" not in flags:
+        assert run("benchmark", "--models", "fflm,fdnn", "--out", bench_out,
+                   *BENCH_FAST, *flags) == 1
+        assert "at least 3 points" in capsys.readouterr().err
+    assert not fit_out.exists() and not bench_out.exists()
 
 
 def test_bool_options_reject_unknown_words(tmp_path, capsys):

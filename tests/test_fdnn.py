@@ -263,6 +263,29 @@ def test_backward_rejects_a_stale_cache():
             make(16).backward(net.forward(x)[1], pred - y)
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: small_net(seed, activation="relu"),
+    lambda seed: fbnn.init(FbnnConfig(10, 8, 1, (2, 3), (8, 6), 5, 5, 5), seed=seed),
+    lambda seed: vnn_init(1, 10, 8, hidden=(5, 4), seed=seed),
+], ids=["fdnn", "fbnn", "vnn"])
+@pytest.mark.parametrize("n, extra", [(6, 3), (40, 17)])
+def test_backward_on_leading_rows_matches_a_forward_on_them(make, n, extra):
+    # training forwards the stacked train and validation curves and runs
+    # backward on the train rows only
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(n + extra, 1, 10)), rng.normal(size=(n, 8))
+    net = make(18)
+    pred, cache = net.forward(x[:n])
+    expected = net.backward(cache, pred - y)
+    stacked, cache = net.forward(x)
+    npt.assert_array_equal(stacked[:n], pred)
+    for got, want in zip(net.backward(cache, stacked[:n] - y), expected):
+        npt.assert_array_equal(got, want)
+    _, cache = net.forward(x[:n - 1])
+    with pytest.raises(ValueError, match="does not match"):
+        net.backward(cache, pred - y)
+
+
 def test_mixed_batch_sizes_match_loop_oracle():
     net = small_net(seed=17, activation="relu")
     rng = np.random.default_rng(8)

@@ -19,6 +19,7 @@ from funcnet.training import (
     TrainConfig,
     TrainingDiverged,
     cv_early_stopping,
+    fd_error,
     grad_check,
     quadratic_loss,
     rmse,
@@ -129,6 +130,28 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     assert TrainConfig(patience=math.inf).patience == math.inf
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_size", math.nan), ("step_size", math.inf), ("patience", math.nan),
+    ("lam_b", math.nan), ("lam_b", math.inf), ("lam_w", math.nan), ("lam_w", math.inf),
+])
+def test_train_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf])
+def test_fd_error_rejects_a_useless_step(eps):
+    p, g = np.zeros(2), np.zeros(2)
+    with pytest.raises(ValueError, match="eps"):
+        fd_error(lambda: float(p @ p), [p], [g], eps=eps)
+
+
+def test_train_fixed_rejects_negative_iterations():
+    x, y, _ = toy_data(n=10)
+    with pytest.raises(ValueError, match="iterations"):
+        train_fixed(tiny_net(), x, y, -3, TrainConfig())
 
 
 def test_train_config_replace():
@@ -257,6 +280,155 @@ def test_early_stopping_infinite_patience_runs_to_cap():
     assert res.stopping_iteration == 40
 
 
+# ------------------------------------------- the loop before it was merged
+
+
+def _old_step(model, x, y, cfg, optimizer, rng, iteration):
+    if cfg.batch_size is not None and cfg.batch_size < x.shape[0]:
+        idx = rng.choice(x.shape[0], size=cfg.batch_size, replace=False)
+        x, y = x[idx], y[idx]
+    pred, cache = model.forward(x)
+    resid = pred - y
+    data_loss = float(((resid * resid) @ model.output_grid.trapezoid_weights).mean())
+    grads = model.backward(cache, resid)
+    if cfg.lam_b > 0 or cfg.lam_w > 0:
+        pen_value, pen_grads = model.penalty(cfg.lam_b, cfg.lam_w)
+        for g, pg in zip(grads, pen_grads):
+            g += pg
+    else:
+        pen_value = 0.0
+    if not np.isfinite(data_loss + pen_value):
+        raise TrainingDiverged(iteration)
+    optimizer.step(model.parameters(), grads)
+
+
+def _old_optimizer(cfg):
+    return Adam(cfg.step_size) if cfg.optimizer == "adam" else PlainGradient(cfg.step_size)
+
+
+def old_train_fixed(model, x, y, iterations, cfg):
+    """train_fixed as it was: step, then score the step with predict."""
+    optimizer, rng = _old_optimizer(cfg), np.random.default_rng(cfg.seed)
+    history = np.empty(iterations)
+    for i in range(1, iterations + 1):
+        _old_step(model, x, y, cfg, optimizer, rng, i)
+        history[i - 1] = quadratic_loss(model.predict(x), y, model.output_grid)
+        if not np.isfinite(history[i - 1]):
+            raise TrainingDiverged(i)
+    return history
+
+
+def old_train_early_stopping(model, train, val, cfg):
+    """train_early_stopping as it was: step, then predict the train and
+    validation curves apart; returns (train, val, stopping, best)."""
+    (x, y), (xv, yv), grid = train, val, model.output_grid
+    optimizer, rng = _old_optimizer(cfg), np.random.default_rng(cfg.seed)
+    best_val = quadratic_loss(model.predict(xv), yv, grid)
+    best_params, best_iteration, since, stop = [p.copy() for p in model.parameters()], 0, 0, 0
+    train_hist, val_hist = [], []
+    try:
+        for i in range(1, cfg.max_iterations + 1):
+            _old_step(model, x, y, cfg, optimizer, rng, i)
+            train_now = quadratic_loss(model.predict(x), y, grid)
+            val_now = quadratic_loss(model.predict(xv), yv, grid)
+            if not (np.isfinite(train_now) and np.isfinite(val_now)):
+                raise TrainingDiverged(i)
+            train_hist.append(train_now)
+            val_hist.append(val_now)
+            stop = i
+            if val_now < best_val:
+                best_val, best_iteration, since = val_now, i, 0
+                best_params = [p.copy() for p in model.parameters()]
+            else:
+                since += 1
+                if since >= cfg.patience:
+                    break
+    finally:
+        model.set_parameters(best_params)
+    return train_hist, val_hist, stop, best_iteration
+
+
+def _assert_same_parameters(a, b):
+    for pa, pb in zip(a.parameters(), b.parameters()):
+        npt.assert_array_equal(pa, pb)
+
+
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(step_size=0.3, max_iterations=200, patience=3),
+    TrainConfig(step_size=0.05, max_iterations=30, patience=100, lam_b=1e-3, lam_w=1e-3),
+    TrainConfig(step_size=0.05, max_iterations=30, patience=100, batch_size=9, seed=4),
+], ids=["patience", "penalised", "minibatch"])
+def test_early_stopping_matches_the_old_loop(cfg):
+    x, y, _ = toy_data(n=40, noise=0.5)
+    train, val = (x[:30], y[:30]), (x[30:], y[30:])
+    new_net, old_net = tiny_net(seed=21), tiny_net(seed=21)
+    res = train_early_stopping(new_net, train, val, cfg)
+    train_hist, val_hist, stop, best = old_train_early_stopping(old_net, train, val, cfg)
+    npt.assert_array_equal(res.train_loss, train_hist)
+    npt.assert_array_equal(res.val_loss, val_hist)
+    assert (res.stopping_iteration, res.best_iteration) == (stop, best)
+    _assert_same_parameters(new_net, old_net)
+    if cfg.patience == 3:
+        assert stop < cfg.max_iterations  # patience ended the run
+
+
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(step_size=0.05),
+    TrainConfig(step_size=0.05, batch_size=7, seed=3, lam_w=1e-3),
+], ids=["full", "minibatch"])
+def test_train_fixed_matches_the_old_loop(cfg):
+    x, y, _ = toy_data(n=30)
+    new_net, old_net = tiny_net(seed=22), tiny_net(seed=22)
+    res = train_fixed(new_net, x, y, 25, cfg)
+    npt.assert_array_equal(res.train_loss, old_train_fixed(old_net, x, y, 25, cfg))
+    assert res.stopping_iteration == res.best_iteration == 25
+    _assert_same_parameters(new_net, old_net)
+
+
+def test_divergence_matches_the_old_loop():
+    x, y, _ = toy_data(n=20, noise=0.1)
+    train, val = (x[:15], y[:15]), (x[15:], y[15:])
+    cfg = TrainConfig(step_size=1e6, max_iterations=200, patience=math.inf, optimizer="gd")
+    nets = tiny_net(seed=3), tiny_net(seed=3)
+    raised = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for net, run in zip(nets, (train_early_stopping, old_train_early_stopping)):
+            with pytest.raises(TrainingDiverged) as info:
+                run(net, train, val, cfg)
+            raised.append(info.value.iteration)
+        assert raised[0] == raised[1]
+        _assert_same_parameters(*nets)
+        fixed = tiny_net(seed=3), tiny_net(seed=3)
+        raised = []
+        for net, run in zip(fixed, (train_fixed, old_train_fixed)):
+            with pytest.raises(TrainingDiverged) as info:
+                run(net, x, 1e6 * y, 200, TrainConfig(step_size=1e4, optimizer="gd"))
+            raised.append(info.value.iteration)
+        assert raised[0] == raised[1]
+        _assert_same_parameters(*fixed)
+
+
+def test_full_batch_early_stopping_runs_one_forward_per_iteration():
+    x, y, _ = toy_data(n=20)
+    net = tiny_net(seed=23)
+    calls = {"forward": [], "predict": []}
+    for name in calls:
+        method = getattr(net, name)
+
+        def counted(x_in, _name=name, _method=method):
+            calls[_name].append(len(x_in))
+            return _method(x_in)
+
+        setattr(net, name, counted)
+    res = train_early_stopping(net, (x[:15], y[:15]), (x[15:], y[15:]),
+                               TrainConfig(step_size=1e-2, max_iterations=12,
+                                           patience=math.inf))
+    assert res.stopping_iteration == 12
+    # one forward on the 15 train and 5 validation curves per step, plus
+    # the one that scores the last step
+    assert calls == {"forward": [20] * 13, "predict": []}
+
+
 # -------------------------------------------------------------- FitResult
 
 
@@ -283,6 +455,18 @@ def test_fit_result_export_round_trip(tmp_path):
     first = rows[1].split(",")
     assert float(first[1]) == res.train_loss[0]
     assert float(first[2]) == res.val_loss[0]
+
+
+def test_fit_result_of_no_iterations_exports_strict_json(tmp_path):
+    x, y, _ = toy_data(n=10)
+    res = train_fixed(tiny_net(), x, y, 0, TrainConfig())
+    jpath = tmp_path / "fit.json"
+    res.to_json(jpath)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert json.loads(jpath.read_text(), parse_constant=refuse)["best_val_loss"] is None
 
 
 # ------------------------------------------------------------------- CV
