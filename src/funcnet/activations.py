@@ -1,4 +1,5 @@
-"""Pointwise activations with hand-coded derivatives."""
+"""Pointwise activations with hand-coded derivatives, taken from the
+activated output."""
 
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ def _relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-def _relu_deriv(x, out=None):
-    # subgradient at 0 fixed to 0
-    return np.greater(x, 0.0, out=_out(x, out))
+def _relu_deriv(h, out=None):
+    # relu(x) > 0 exactly when x > 0: the subgradient at 0 is 0
+    return np.greater(h, 0.0, out=_out(h, out))
 
 
 def _sigmoid(x, out=None):
@@ -27,15 +28,14 @@ def _sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _sigmoid_deriv(x, out=None):
-    s = _sigmoid(x, out)
-    return np.multiply(s, 1.0 - s, out=s)
+def _sigmoid_deriv(h, out=None):
+    out = np.subtract(1.0, h, out=_out(h, out))
+    return np.multiply(h, out, out=out)
 
 
-def _tanh_deriv(x, out=None):
-    t = np.tanh(x, out=_out(x, out))
-    np.multiply(t, t, out=t)
-    return np.subtract(1.0, t, out=t)
+def _tanh_deriv(h, out=None):
+    out = np.multiply(h, h, out=_out(h, out))
+    return np.subtract(1.0, out, out=out)
 
 
 def _identity(x, out=None):
@@ -45,8 +45,8 @@ def _identity(x, out=None):
     return out
 
 
-def _one(x, out=None):
-    out = _out(x, out)
+def _one(h, out=None):
+    out = _out(h, out)
     out.fill(1.0)
     return out
 
@@ -77,9 +77,13 @@ class Activation:
         written there and returned instead of a new array."""
         return self._fn(x, out)
 
-    def deriv(self, x, out=None):
-        """act'(x), written to ``out`` when it is given."""
-        return self._deriv(x, out)
+    def deriv(self, h, out=None):
+        """act'(x) from the activated output h = act(x), written to ``out``
+        (not ``h`` itself) when it is given.  Each derivative is a
+        function of the output (relu h > 0, tanh 1 - h h, sigmoid
+        h (1 - h), identity 1), so a forward pass need keep only its
+        activated arrays."""
+        return self._deriv(h, out)
 
     def __eq__(self, other):
         return isinstance(other, Activation) and other.name == self.name

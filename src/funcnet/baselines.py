@@ -61,15 +61,6 @@ class FflmModel:
         mixed = np.tensordot(z, self.beta_coef, axes=([1, 2], [0, 1]))  # (n, D)
         return mixed @ vr.T + vi @ self.alpha_coef
 
-    def intercept_values(self) -> np.ndarray:
-        vi, _, _ = self._designs()
-        return vi @ self.alpha_coef
-
-    def beta_surface(self, r: int = 0) -> np.ndarray:
-        """Coefficient surface on the (m, m_y) grid, s along rows."""
-        _, vp, vr = self._designs()
-        return vp @ self.beta_coef[r] @ vr.T
-
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -241,7 +232,7 @@ class DenseLayer:
         np.matmul(delta, self.w, out=dh.reshape(n, -1))
         return gb, gw, dh
 
-    def roughness(self, _which, _lam, _buffer):
+    def roughness(self, _which, _lam, _buffer, _grad):
         raise ValueError("the vector network has no roughness penalty")
 
 

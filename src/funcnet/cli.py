@@ -240,6 +240,10 @@ def _write_json(path, doc):
         fh.write(text + "\n")
 
 
+def _finite_or_none(value):
+    return value if math.isfinite(value) else None
+
+
 def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     scenario = datagen.Scenario(args.scenario, args.first_term)
@@ -644,7 +648,7 @@ def cmd_gradcheck(args) -> int:
             for kind in ("fdnn", "fbnn", "vnn")}
     report = {"schema_version": SCHEMA_VERSION, "eps": args.eps,
               "tolerance": args.tolerance, "errors": {}}
-    worst = 0.0
+    errors = []
     for name, net in nets.items():
         if args.corrupt:
             original_backward = net.backward
@@ -657,20 +661,22 @@ def cmd_gradcheck(args) -> int:
             net.backward = broken
         err_loss = training.grad_check(net, x, y, eps=args.eps)
         entry = {"loss": err_loss}
-        worst = max(worst, err_loss)
         if name in ("fdnn", "fbnn"):
             err_pen = training.fd_error(lambda: net.penalty(1.0, 1.0)[0],
                                         net.parameters(), net.penalty(1.0, 1.0)[1],
                                         args.eps)
             entry["penalty"] = err_pen
-            worst = max(worst, err_pen)
             print(f"gradcheck {name}: loss {err_loss:.3e}, penalty {err_pen:.3e}")
         else:
             print(f"gradcheck {name}: loss {err_loss:.3e}")
-        report["errors"][name] = entry
-    report["worst"] = worst
+        errors.extend(entry.values())
+        # a non-finite error is written as null, since NaN is not JSON
+        report["errors"][name] = {k: _finite_or_none(v) for k, v in entry.items()}
+    # a NaN error must fail the audit, which max() alone would not ensure
+    worst = math.nan if any(math.isnan(e) for e in errors) else max(errors)
+    report["worst"] = _finite_or_none(worst)
     _write_json(os.path.join(args.out, "gradcheck.json"), report)
-    if worst > args.tolerance:
+    if not worst <= args.tolerance:
         print(f"FAIL: worst error {worst:.3e} exceeds {args.tolerance:.1e}",
               file=sys.stderr)
         return 2

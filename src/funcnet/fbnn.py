@@ -92,15 +92,19 @@ class FbnnLayer(GridLayer):
         dh *= self.in_grid.trapezoid_weights
         return gb, gw, dh
 
-    def roughness(self, which, lam, _buffer):
+    def roughness(self, which, lam, _buffer, grad):
         """Roughness as Gram-matrix quadratic forms in the coefficients."""
         if which == 0:
             bg = self.b_coef @ self.curvature_matrix
-            return lam * float(np.sum(bg * self.b_coef)), 2.0 * lam * bg
-        k, j, c, d = self.w_coef.shape
-        flat = self.w_coef.reshape(k * j, c * d)
-        wp = flat @ self.laplacian_matrix
-        return lam * float(np.sum(wp * flat)), (2.0 * lam * wp).reshape(k, j, c, d)
+            value = lam * float(np.sum(bg * self.b_coef))
+        else:
+            k, j, c, d = self.w_coef.shape
+            flat = self.w_coef.reshape(k * j, c * d)
+            bg = flat @ self.laplacian_matrix
+            value = lam * float(np.sum(bg * flat))
+        bg *= 2.0 * lam
+        grad += bg.reshape(grad.shape)
+        return value
 
     def to_dict(self) -> dict:
         return {

@@ -71,16 +71,16 @@ class FdnnLayer(GridLayer):
         dh *= self.in_grid.trapezoid_weights
         return gb, gw, dh
 
-    def roughness(self, which, lam, buffer):
+    def roughness(self, which, lam, buffer, grad):
         """lam * integral(b'')^2 summed over intercepts (which 0), or lam *
         the double integral of the squared Laplacian summed over weight
         surfaces (which 1), with derivatives by zero-padded central
         differences and integrals by trapezoid."""
         hs, qs = self.out_grid.h, self.out_grid.trapezoid_weights
         if which == 0:
-            return _roughness(self.b, ((1, hs),), qs, lam, buffer)
+            return _roughness(self.b, ((1, hs),), qs, lam, buffer, grad)
         quad = qs[:, None] * self.in_grid.trapezoid_weights[None, :]
-        return _roughness(self.w, ((2, hs), (3, self.in_grid.h)), quad, lam, buffer)
+        return _roughness(self.w, ((2, hs), (3, self.in_grid.h)), quad, lam, buffer, grad)
 
     def to_dict(self) -> dict:
         return {
@@ -96,8 +96,9 @@ class FdnnLayer(GridLayer):
                    Activation(spec["activation"]))
 
 
-def _roughness(f, steps, quad, lam: float, buffer):
-    """lam * sum(quad * (D f)^2) and its gradient 2 lam D^T (quad * D f).
+def _roughness(f, steps, quad, lam: float, buffer, grad):
+    """lam * sum(quad * (D f)^2); adds its gradient 2 lam D^T (quad * D f)
+    into ``grad``.
 
     D f sums the second differences of f along each ``(axis, h)`` of
     ``steps``.
@@ -114,7 +115,9 @@ def _roughness(f, steps, quad, lam: float, buffer):
     second_diff_adjoint(u, h, axis=axis, out=adj)
     for other, h_other in rest:
         adj += second_diff_adjoint(u, h_other, axis=other, out=d)
-    return value, 2.0 * lam * adj
+    adj *= 2.0 * lam
+    grad += adj
+    return value
 
 
 class FdnnNetwork(Network):

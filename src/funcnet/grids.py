@@ -8,6 +8,8 @@ boundary so that their output has the same length as their input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -43,6 +45,29 @@ class Grid:
         return f"Grid(m={self.m})"
 
 
+def _blocks(values, axis, out):
+    """``values`` and the array the result goes to, both C-contiguous and
+    viewed as (outer, m, stride) blocks around ``axis``, so that
+    neighbours along the axis lie ``stride`` apart in flat memory; the
+    result array is ``out`` itself unless that is absent or not
+    C-contiguous."""
+    values = np.ascontiguousarray(values, dtype=float)
+    shape = values.shape
+    axis = axis % len(shape)
+    blocks = (math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+    if shape[axis] < 3:
+        raise ValueError("need at least 3 points for a second difference")
+    work = out if out is not None and out.flags.c_contiguous else np.empty(shape)
+    return values.reshape(blocks), work.reshape(blocks), work
+
+
+def _result(work, out):
+    if out is None or out is work:
+        return work
+    out[...] = work
+    return out
+
+
 def second_diff(values: np.ndarray, h: float, axis: int = -1, out=None) -> np.ndarray:
     """Central second difference along ``axis``, zero at both endpoints.
 
@@ -50,21 +75,18 @@ def second_diff(values: np.ndarray, h: float, axis: int = -1, out=None) -> np.nd
     The result goes to ``out`` (same shape as ``values``, not overlapping
     it) when given, else to a new array.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[axis] < 3:
-        raise ValueError("need at least 3 points for a second difference")
-    if out is None:
-        out = np.empty(values.shape)
-    v = np.moveaxis(values, axis, -1)
-    o = np.moveaxis(out, axis, -1)
-    inner = o[..., 1:-1]
-    np.multiply(v[..., 1:-1], 2.0, out=inner)
-    np.subtract(v[..., :-2], inner, out=inner)
-    inner += v[..., 2:]
+    v3, o3, work = _blocks(values, axis, out)
+    v, o, s = v3.reshape(-1), o3.reshape(-1), v3.shape[2]
+    # one shifted stencil over the flat array; the entries at the ends of
+    # the axis mix neighbouring blocks and are overwritten below
+    inner = o[s:-s]
+    np.multiply(v[s:-s], 2.0, out=inner)
+    np.subtract(v[:-2 * s], inner, out=inner)
+    inner += v[2 * s:]
     inner /= h * h
-    o[..., 0] = 0.0
-    o[..., -1] = 0.0
-    return out
+    o3[:, 0] = 0.0
+    o3[:, -1] = 0.0
+    return _result(work, out)
 
 
 def second_diff_adjoint(u: np.ndarray, h: float, axis: int = -1, out=None) -> np.ndarray:
@@ -74,24 +96,28 @@ def second_diff_adjoint(u: np.ndarray, h: float, axis: int = -1, out=None) -> np
     for J(f) = ||W D f||^2 the gradient is 2 D^T (W^2 D f).  ``out`` is
     used as in :func:`second_diff`.
     """
-    u = np.asarray(u, dtype=float)
-    if out is None:
-        out = np.empty(u.shape)
+    v3, o3, work = _blocks(u, axis, out)
+    v, o, (_, m, s) = v3.reshape(-1), o3.reshape(-1), v3.shape
     # rows 0 and m-1 of the forward operator are identically zero, so only
     # u's interior enters: out[i] = ((0 - 2 u[i]) + u[i+1] + u[i-1]) / h^2
     # with u[0] = u[m-1] = 0, summed in that order so that fitted results
-    # repeat bit for bit
-    v = np.moveaxis(u, axis, -1)[..., 1:-1]
-    o = np.moveaxis(out, axis, -1)
-    o[..., 0] = 0.0
-    o[..., -1] = 0.0
-    inner = o[..., 1:-1]
-    np.multiply(v, 2.0, out=inner)
+    # repeat bit for bit.  One flat stencil gives every row but 0, 1, m-2
+    # and m-1, which read u's ends or a neighbouring block; those are
+    # rewritten from u's interior alone.
+    inner = o[s:-s]
+    np.multiply(v[s:-s], 2.0, out=inner)
     np.subtract(0.0, inner, out=inner)
-    o[..., :-2] += v
-    o[..., 2:] += v
+    inner += v[2 * s:]
+    inner += v[:-2 * s]
+    for row, neighbour in ((1, 2), (m - 2, m - 3)):
+        np.multiply(v3[:, row], 2.0, out=o3[:, row])
+        np.subtract(0.0, o3[:, row], out=o3[:, row])
+        if m > 3:
+            o3[:, row] += v3[:, neighbour]
+    np.add(v3[:, 1], 0.0, out=o3[:, 0])
+    np.add(v3[:, m - 2], 0.0, out=o3[:, m - 1])
     o /= h * h
-    return out
+    return _result(work, out)
 
 
 def resample_values(values: np.ndarray, source: Grid, target: Grid) -> np.ndarray:

@@ -15,8 +15,9 @@ and serialization.  A layer type supplies only what differs:
 - ``backward(h, saved, delta_a, buffer, need_dh)``: the adjoint, returning
   the intercept gradient, the weight gradient and, when asked, the
   sensitivity to ``h``;
-- ``roughness(which, lam, buffer)``: value and gradient of the penalty on
-  parameter ``which`` (0 intercept, 1 weight) at level ``lam > 0``;
+- ``roughness(which, lam, buffer, grad)``: the value of the penalty on
+  parameter ``which`` (0 intercept, 1 weight) at level ``lam > 0``,
+  adding its gradient into ``grad``;
 - ``to_dict()`` and ``from_dict(spec, in_grid)`` for its part of the
   document.
 
@@ -71,7 +72,9 @@ class GridLayer:
 
 
 class _ForwardCache(list):
-    """Per-layer ``(h_in, saved, a)`` triples of one forward pass.
+    """Per-layer ``(h_in, saved, h_out)`` triples of one forward pass,
+    where ``h_out`` is the layer's activated output and the next layer's
+    ``h_in``: one array per layer.
 
     The arrays live in the network's scratch space, so the cache is
     valid only until the next :meth:`Network.forward` on that network;
@@ -140,15 +143,15 @@ class Network:
         h = self._check_input(x)
         n = h.shape[0]
         cache = _ForwardCache()
-        last = len(self.layers) - 1
         for idx, layer in enumerate(self.layers):
             a = self._buffer(("a", idx), (n, *layer.out_shape))
-            cache.append((h, layer.affine(h, a, self._buffer, False), a))
-            h = np.empty(a.shape) if idx == last else self._buffer(("h", idx + 1), a.shape)
-            layer.activation(a, out=h)
+            saved = layer.affine(h, a, self._buffer, False)
+            layer.activation(a, out=a)
+            cache.append((h, saved, a))
+            h = a
         self._forwards += 1
         cache.stamp = self._forwards
-        return h[:, 0, :], cache
+        return h[:, 0, :].copy(), cache
 
     def predict(self, x):
         """Predictions for x, without keeping a cache for :meth:`backward`."""
@@ -183,8 +186,9 @@ class Network:
         qy = self.output_grid.trapezoid_weights
         delta_h = (2.0 / n) * residuals * qy  # d loss / d prediction values
         last = len(self.layers) - 1
-        a = cache[last][2]
-        delta_a = self.layers[last].activation.deriv(a, out=self._buffer("delta", a.shape))
+        h_out = cache[last][2]
+        delta_a = self.layers[last].activation.deriv(
+            h_out, out=self._buffer("delta", h_out.shape))
         delta_a *= delta_h[:, None, :]
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
         for idx in range(last, -1, -1):
@@ -193,9 +197,9 @@ class Network:
                 h_in, saved, delta_a, self._buffer, idx > 0
             )
             if idx > 0:
-                a = cache[idx - 1][2]
+                # the activated output of layer idx - 1 is h_in
                 delta_a = self.layers[idx - 1].activation.deriv(
-                    a, out=self._buffer("delta", a.shape)
+                    h_in, out=self._buffer("delta", h_in.shape)
                 )
                 delta_a *= dh
         return grads
@@ -212,22 +216,21 @@ class Network:
         for target, src in zip(self.parameters(), values):
             target[...] = src
 
-    def penalty(self, lam_b: float, lam_w: float):
+    def penalty(self, lam_b: float, lam_w: float, grads=None):
         """Roughness penalty and its exact gradient, interleaved like
         :meth:`parameters`: lam_b weighs the intercepts' roughness and
-        lam_w the weights'."""
+        lam_w the weights'.  With ``grads`` (interleaved the same way)
+        the penalty gradient is added into them in place and they are
+        returned; else it comes back in new arrays."""
         if lam_b < 0 or lam_w < 0:
             raise ValueError("smoothing parameters must be non-negative")
+        if grads is None:
+            grads = [np.zeros_like(p) for p in self.parameters()]
         value = 0.0
-        grads = []
-        for layer in self.layers:
+        for idx, layer in enumerate(self.layers):
             for which, lam in enumerate((lam_b, lam_w)):
                 if lam > 0.0:
-                    term, grad = layer.roughness(which, lam, self._buffer)
-                    value += term
-                    grads.append(grad)
-                else:
-                    grads.append(np.zeros_like(getattr(layer, layer.param_names[which])))
+                    value += layer.roughness(which, lam, self._buffer, grads[2 * idx + which])
         return value, grads
 
     # ------------------------------------------------------------------

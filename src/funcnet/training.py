@@ -10,10 +10,11 @@ interleaved intercept/weight), ``penalty`` and ``output_grid``.  The
 loops below never look inside a model or a cache beyond that.
 
 :func:`train_fixed` and :func:`train_early_stopping` share one loop.
-On the full batch it runs one ``forward`` per iteration, on the train
-and validation curves stacked once: that pass scores the previous step
-(logged losses, early-stopping decision) and its train rows are the
-cache for this step's ``backward``.
+It runs one ``forward`` per iteration, on the train and validation
+curves stacked once: that pass scores the previous step (logged losses,
+early-stopping decision) and its leading rows are the cache for this
+step's ``backward``.  On mini-batches the pass takes the curves with the
+step's batch first.
 """
 
 from __future__ import annotations
@@ -205,12 +206,9 @@ def _step(model, cache, resid, data_loss, cfg, optimizer, iteration):
     ``cache`` whose leading rows gave the residuals ``resid`` and the
     unpenalized loss ``data_loss``."""
     grads = model.backward(cache, resid)
+    pen_value = 0.0
     if cfg.lam_b > 0 or cfg.lam_w > 0:
-        pen_value, pen_grads = model.penalty(cfg.lam_b, cfg.lam_w)
-        for g, pg in zip(grads, pen_grads):
-            g += pg
-    else:
-        pen_value = 0.0
+        pen_value = model.penalty(cfg.lam_b, cfg.lam_w, grads)[0]
     if not np.isfinite(data_loss + pen_value):
         raise TrainingDiverged(iteration)
     optimizer.step(model.parameters(), grads)
@@ -227,12 +225,13 @@ def _train(model, train, val, iterations: int, cfg: TrainConfig) -> FitResult:
     validation improvement, and the model ends with its best-validation
     parameters, also when :class:`TrainingDiverged` propagates.
 
-    On the full batch, the forward pass that makes a step's gradient
-    also scores the previous step: one ``forward`` on the stacked
-    [train; val] curves gives the logged losses, the stopping decision
-    and the cache whose train rows ``backward`` uses.  A final
-    ``forward`` scores the last step.  A mini-batch forward sees only
-    its batch, so each step is scored by a ``predict`` on every curve.
+    Each step's gradient comes from the forward pass that also scores
+    the previous step: one ``forward`` on the [train; val] curves gives
+    the logged losses, the stopping decision and the cache whose leading
+    rows ``backward`` uses.  On mini-batches that pass takes the curves
+    with the step's batch first, and the losses are summed over its
+    predictions put back in order.  A final ``forward`` scores the last
+    step.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
@@ -248,19 +247,28 @@ def _train(model, train, val, iterations: int, cfg: TrainConfig) -> FitResult:
     grid = model.output_grid
     optimizer = _make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
+    if not full_batch:
+        x_order = np.empty(x_all.shape)
+        outside = np.empty(x_all.shape[0], dtype=bool)
 
     train_hist: list[float] = []
     val_hist: list[float] = []
     best_val, best_iteration, best_params, since_improved = math.nan, 0, None, 0
     try:
         for i in range(iterations + 1):
-            # score the parameters after i steps
-            if full_batch:
+            # score the parameters after i steps, in a forward that puts
+            # step i + 1's batch first
+            if full_batch or i == iterations:
                 pred, cache = model.forward(x_all)
-            elif i > 0 or val is not None:
-                pred = model.predict(x_all)
-            if full_batch or i > 0:
-                train_now = quadratic_loss(pred[:n], y, grid)
+            else:
+                idx = rng.choice(n, size=cfg.batch_size, replace=False)
+                outside.fill(True)
+                outside[idx] = False
+                order = np.concatenate([idx, np.flatnonzero(outside)])
+                batch_pred, cache = model.forward(np.take(x_all, order, axis=0, out=x_order))
+                pred = np.empty_like(batch_pred)
+                pred[order] = batch_pred
+            train_now = quadratic_loss(pred[:n], y, grid)
             if val is not None:
                 val_now = quadratic_loss(pred[n:], y_val, grid)
             if i > 0:
@@ -283,9 +291,7 @@ def _train(model, train, val, iterations: int, cfg: TrainConfig) -> FitResult:
             if full_batch:
                 resid = pred[:n] - y
             else:
-                idx = rng.choice(n, size=cfg.batch_size, replace=False)
-                pred, cache = model.forward(x[idx])
-                resid = pred - y[idx]
+                resid = batch_pred[:cfg.batch_size] - y[idx]
                 train_now = float(((resid * resid) @ grid.trapezoid_weights).mean())
             _step(model, cache, resid, train_now, cfg, optimizer, i + 1)
     finally:  # on divergence too, early stopping keeps the best parameters
@@ -457,7 +463,9 @@ def fd_error(objective, params, grads, eps: float = 1e-5,
 
     ``objective()`` is evaluated with each coordinate of ``params`` (or a
     random subset of ``max_coords`` per array) moved by ±eps in place;
-    the denominator is max(|analytic|, |numeric|, 1e-8).
+    the denominator is max(|analytic|, |numeric|, 1e-8).  A non-finite
+    error (a NaN or infinite gradient, objective or difference) is
+    returned at once, so that it fails every tolerance.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -478,7 +486,10 @@ def fd_error(objective, params, grads, eps: float = 1e-5,
             flat[c] = keep
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(gflat[c]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[c] - numeric) / denom)
+            error = abs(gflat[c] - numeric) / denom
+            if not math.isfinite(error):
+                return float(error)
+            worst = max(worst, error)
     return worst
 
 
@@ -499,6 +510,5 @@ def grad_check(model, x, y, lam_b: float = 0.0, lam_w: float = 0.0,
     pred, cache = model.forward(x)
     grads = model.backward(cache, pred - y)
     if lam_b > 0 or lam_w > 0:
-        pen_grads = model.penalty(lam_b, lam_w)[1]
-        grads = [g + pg for g, pg in zip(grads, pen_grads)]
+        model.penalty(lam_b, lam_w, grads)
     return fd_error(objective, model.parameters(), grads, eps, max_coords, seed)

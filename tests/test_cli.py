@@ -436,6 +436,27 @@ def test_gradcheck_detects_corrupted_gradient(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_gradcheck_fails_on_a_nan_error_and_still_writes_its_report(tmp_path, capsys,
+                                                                    monkeypatch):
+    build = cli._build_network
+
+    def with_nan_intercept(kind, *args):
+        net = build(kind, *args)
+        if kind == "fdnn":
+            net.layers[0].b[0, 0] = np.nan
+        return net
+
+    monkeypatch.setattr(cli, "_build_network", with_nan_intercept)
+    out = tmp_path / "gc"
+    with np.errstate(invalid="ignore"):
+        assert run("gradcheck", "--out", out) == 2
+    report = json.loads((out / "gradcheck.json").read_text())
+    assert report["errors"]["fdnn"]["loss"] is None
+    assert report["worst"] is None
+    assert report["errors"]["vnn"]["loss"] < report["tolerance"]
+    assert "FAIL: worst error nan" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ config files
 
 

@@ -47,8 +47,11 @@ def test_second_diff_exact_on_quadratics():
 
 
 def test_second_diff_needs_three_points():
-    with pytest.raises(ValueError):
-        second_diff(np.zeros(2), 0.5)
+    for op in (second_diff, second_diff_adjoint):
+        with pytest.raises(ValueError):
+            op(np.zeros(2), 0.5)
+        with pytest.raises(ValueError):
+            op(np.zeros((4, 2)), 0.5, axis=1)
 
 
 def test_second_diff_axis_handling():
@@ -77,6 +80,38 @@ def test_second_diff_adjoint_matches_dense_matrix():
     rng = np.random.default_rng(3)
     v = rng.normal(size=m)
     npt.assert_allclose(second_diff_adjoint(v, h), dense.T @ v, rtol=1e-12)
+
+
+def _dense_second_diff(m, h):
+    """The zero-padded second-difference operator as an (m, m) matrix."""
+    d = np.zeros((m, m))
+    for i in range(1, m - 1):
+        d[i, i - 1:i + 2] = (1.0, -2.0, 1.0)
+    return d / (h * h)
+
+
+@pytest.mark.parametrize("shape", [(3,), (11,), (3, 7), (6, 3), (5, 4), (2, 3, 4, 5),
+                                   (3, 3, 3, 3), (4, 6, 5, 7)])
+def test_second_differences_match_the_dense_matrix_on_every_axis(shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.normal(size=shape)
+    # a strided view: neither C- nor Fortran-contiguous
+    strided = rng.normal(size=tuple(2 * n for n in shape))[(slice(None, None, 2),) * len(shape)]
+    for axis in range(-a.ndim, a.ndim):
+        m = shape[axis]
+        if m < 3:
+            continue
+        h = 1.0 / (m - 1)
+        dense = _dense_second_diff(m, h)
+        for values in (a, np.asfortranarray(a), strided):
+            for op, matrix in ((second_diff, dense), (second_diff_adjoint, dense.T)):
+                expected = np.moveaxis(np.tensordot(matrix, values, axes=([1], [axis])), 0, axis)
+                got = op(values, h, axis=axis)
+                npt.assert_allclose(got, expected, rtol=1e-12,
+                                    atol=1e-12 * np.abs(expected).max())
+                for out in (np.empty(shape), np.empty(shape[::-1]).T):
+                    assert op(values, h, axis=axis, out=out) is out
+                    npt.assert_array_equal(out, got)
 
 
 def test_laplacian_on_polynomial_surface():

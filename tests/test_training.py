@@ -408,9 +408,9 @@ def test_divergence_matches_the_old_loop():
         _assert_same_parameters(*fixed)
 
 
-def test_full_batch_early_stopping_runs_one_forward_per_iteration():
-    x, y, _ = toy_data(n=20)
-    net = tiny_net(seed=23)
+def _count_calls(net):
+    """The curve counts of each forward and predict call on ``net``,
+    recorded from here on."""
     calls = {"forward": [], "predict": []}
     for name in calls:
         method = getattr(net, name)
@@ -420,11 +420,34 @@ def test_full_batch_early_stopping_runs_one_forward_per_iteration():
             return _method(x_in)
 
         setattr(net, name, counted)
+    return calls
+
+
+def test_full_batch_early_stopping_runs_one_forward_per_iteration():
+    x, y, _ = toy_data(n=20)
+    net = tiny_net(seed=23)
+    calls = _count_calls(net)
     res = train_early_stopping(net, (x[:15], y[:15]), (x[15:], y[15:]),
                                TrainConfig(step_size=1e-2, max_iterations=12,
                                            patience=math.inf))
     assert res.stopping_iteration == 12
     # one forward on the 15 train and 5 validation curves per step, plus
+    # the one that scores the last step
+    assert calls == {"forward": [20] * 13, "predict": []}
+
+
+@pytest.mark.parametrize("mode", ["fixed", "early_stopping"])
+def test_minibatch_training_runs_one_forward_on_all_curves_per_step(mode):
+    x, y, _ = toy_data(n=20)
+    net = tiny_net(seed=24)
+    calls = _count_calls(net)
+    cfg = TrainConfig(step_size=1e-2, max_iterations=12, patience=math.inf, batch_size=6)
+    if mode == "fixed":
+        res = train_fixed(net, x, y, 12, cfg)
+    else:
+        res = train_early_stopping(net, (x[:15], y[:15]), (x[15:], y[15:]), cfg)
+    assert res.stopping_iteration == 12
+    # one forward on all 20 curves per step, the step's batch first, plus
     # the one that scores the last step
     assert calls == {"forward": [20] * 13, "predict": []}
 
@@ -597,6 +620,16 @@ def test_grad_check_flags_a_corrupted_gradient():
 
     net.backward = broken
     assert grad_check(net, x, y, eps=1e-5) > 1e-2
+
+
+def test_grad_check_fails_on_a_nan_parameter():
+    # max(worst, nan) keeps worst: a NaN error must not read as a perfect audit
+    net = tiny_net(seed=13)
+    x, y, _ = toy_data(n=3)
+    net.layers[0].b[0, 0] = np.nan
+    assert not grad_check(net, x, y, eps=1e-5) <= 1e-4
+    p, g = np.ones(3), np.array([2.0, np.nan, 2.0])
+    assert math.isnan(fd_error(lambda: float(p @ p), [p], [g]))
 
 
 def test_grad_check_subsampling_matches_full_on_small_net():
