@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from . import training
 from .activations import Activation
@@ -154,10 +153,12 @@ def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
             sl = slice(b + r * cd, b + (r + 1) * cd)
             m[sl, sl] += lam * pen
 
+    from scipy import linalg  # loaded on first use: nothing else needs scipy.linalg
+
     try:
         coef = linalg.cho_solve(linalg.cho_factor(m), rhs)
-    except linalg.LinAlgError as exc:
-        raise linalg.LinAlgError(
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
             "normal matrix is not positive definite; increase lam or reduce "
             "the basis sizes"
         ) from exc
@@ -174,28 +175,18 @@ def fflm_tune_lambda(data, lam_grid, k: int = 5, seed: int = 0,
     Refits per fold at each candidate and scores mean validation loss;
     ties go to the larger (smoother) value.
     """
-    lams = sorted(float(v) for v in lam_grid)
-    if not lams:
-        raise ValueError("lambda grid is empty")
     if k < 2 or k > data.n:
         raise ValueError(f"need 2 <= k <= {data.n}")
     folds = training._kfold_indices(data.n, k, np.random.default_rng(seed))
-    best_lam, best_score = None, np.inf
-    for lam in lams:
-        scores = []
-        for val_idx in folds:
-            train_idx = np.setdiff1d(np.arange(data.n), val_idx)
-            model = fflm_fit(
-                data.subset(train_idx),
-                num_intercept_basis, num_pred_basis, num_resp_basis,
-                lam=lam, order=order,
-            )
-            pred = model.predict(data.x[val_idx])
-            scores.append(training.quadratic_loss(pred, data.y[val_idx], data.y_grid))
-        score = float(np.mean(scores))
-        if score <= best_score:
-            best_score, best_lam = score, lam
-    return best_lam
+
+    def fold_score(lam, _fold, val_idx):
+        train_idx = np.setdiff1d(np.arange(data.n), val_idx)
+        model = fflm_fit(data.subset(train_idx), num_intercept_basis, num_pred_basis,
+                         num_resp_basis, lam=lam, order=order)
+        pred = model.predict(data.x[val_idx])
+        return training.quadratic_loss(pred, data.y[val_idx], data.y_grid)
+
+    return training._select_lambda([float(v) for v in lam_grid], folds, fold_score)
 
 
 class DenseLayer:

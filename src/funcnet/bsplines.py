@@ -2,15 +2,16 @@
 
 Knots are equally spaced in the interior with the first and last knot
 repeated ``order`` times, so the basis is a partition of unity and the
-first/last basis functions interpolate the endpoints.  Evaluation goes
-through scipy's sparse design-matrix routine; derivative evaluation and
-the Gram matrices needed by roughness penalties are assembled here.
+first/last basis functions interpolate the endpoints.  Evaluation is
+de Boor's recurrence in numpy, so building a basis network or a linear
+model loads no scipy; derivative evaluation, which feeds the Gram
+matrices of the roughness penalties, imports ``scipy.interpolate`` on
+first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .grids import Grid
 
@@ -41,18 +42,43 @@ class BSplineBasis:
         self._gram_cache: dict = {}
 
     def design(self, x) -> np.ndarray:
-        """Evaluation matrix: entry (i, d) is basis function d at x[i]."""
-        x = np.asarray(x, dtype=float)
-        return BSpline.design_matrix(x, self.knots, self.degree).toarray()
+        """Evaluation matrix: entry (i, d) is basis function d at x[i].
+
+        de Boor's recurrence on the knot interval of each point, with the
+        operations of scipy's ``BSpline.design_matrix`` in the same order,
+        so the two agree bit for bit.  A scalar ``x`` gives one row and an
+        empty one none.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim != 1:
+            raise ValueError(f"expected points in a 1-D array, got shape {x.shape}")
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
+            raise ValueError("points must be finite and lie in [0, 1]")
+        k, t = self.degree, self.knots
+        ell = np.clip(np.searchsorted(t, x, "right") - 1, k, self.num_basis - 1)
+        h = np.zeros((x.size, k + 1))
+        h[:, 0] = 1.0
+        for j in range(1, k + 1):
+            hh = h[:, :j].copy()
+            h[:, 0] = 0.0
+            for n in range(1, j + 1):
+                xb, xa = t[ell + n], t[ell + n - j]
+                w = hh[:, n - 1] / (xb - xa)
+                h[:, n - 1] += w * (xb - x)
+                h[:, n] = w * (x - xa)
+        out = np.zeros((x.size, self.num_basis))
+        np.put_along_axis(out, (ell - k)[:, None] + np.arange(k + 1), h, axis=1)
+        return out
 
     def derivative_design(self, x, deriv: int) -> np.ndarray:
         """Like :meth:`design` but for the ``deriv``-th derivative."""
         if deriv == 0:
             return self.design(x)
-        if deriv > self.degree:
-            x = np.asarray(x, dtype=float)
-            return np.zeros((x.size, self.num_basis))
         x = np.asarray(x, dtype=float)
+        if deriv > self.degree:
+            return np.zeros((x.size, self.num_basis))
+        from scipy.interpolate import BSpline  # loaded on first use
+
         out = np.empty((x.size, self.num_basis))
         coef = np.zeros(self.num_basis)
         for d in range(self.num_basis):

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import baselines, datagen, fbnn, fdnn, training
 from .gp import MaternParams
+from .grids import Grid
 
 SCHEMA_VERSION = 1
 
@@ -508,9 +509,8 @@ def _run_benchmark_task(task, args) -> dict:
         "rmse": _rmse_of(model, test),
     }
     if task["replicate"] == 0 and kind in ("fdnn", "fbnn") and args.write_params:
-        out["params_model"] = (
-            fbnn.expand_to_direct(model) if kind == "fbnn" else model
-        ).to_dict()
+        direct = fbnn.expand_to_direct(model) if kind == "fbnn" else model
+        out["params"] = [(layer.b, layer.w) for layer in direct.layers]
     return out
 
 
@@ -529,29 +529,25 @@ def _task_wrapper(payload):
         }
 
 
-def _write_param_functions(path, doc):
-    """Plot-ready long CSV of a network's parameter functions."""
-    net = fdnn.FdnnNetwork.from_dict(doc)
+def _write_param_functions(path, layers):
+    """Plot-ready long CSV of a direct network's parameter functions, from
+    its per-layer ``(b, w)`` arrays of shapes (K, S) and (K, J, S, T).
+
+    Values are written as ``repr`` of the float, one surface at a time,
+    with the header and ``\\r\\n`` line ends of ``csv.writer``.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "neuron", "source", "kind", "s", "t", "value"])
-        for l_idx, layer in enumerate(net.layers):
-            s_pts = layer.out_grid.points
-            t_pts = layer.in_grid.points
-            for k in range(layer.out_count):
-                for s_i, s_val in enumerate(s_pts):
-                    writer.writerow(
-                        [l_idx, k, "", "intercept", repr(float(s_val)), "",
-                         repr(float(layer.b[k, s_i]))]
-                    )
-                for j in range(layer.in_count):
-                    for s_i, s_val in enumerate(s_pts):
-                        for t_i, t_val in enumerate(t_pts):
-                            writer.writerow(
-                                [l_idx, k, j, "weight", repr(float(s_val)),
-                                 repr(float(t_val)),
-                                 repr(float(layer.w[k, j, s_i, t_i]))]
-                            )
+        fh.write("layer,neuron,source,kind,s,t,value\r\n")
+        for l_idx, (b, w) in enumerate(layers):
+            s_txt = [repr(v) for v in Grid(w.shape[2]).points.tolist()]
+            t_txt = [repr(v) for v in Grid(w.shape[3]).points.tolist()]
+            for k, (b_k, w_k) in enumerate(zip(b.tolist(), w.tolist())):
+                fh.write("".join(f"{l_idx},{k},,intercept,{s},,{v!r}\r\n"
+                                 for s, v in zip(s_txt, b_k)))
+                for j, surface in enumerate(w_k):
+                    fh.write("".join(f"{l_idx},{k},{j},weight,{s},{t},{v!r}\r\n"
+                                     for s, row in zip(s_txt, surface)
+                                     for t, v in zip(t_txt, row)))
 
 
 def cmd_benchmark(args) -> int:
@@ -615,11 +611,11 @@ def cmd_benchmark(args) -> int:
                     writer.writerow([scenario, kind, 0, "", ""])
 
     for row in rows:
-        if "params_model" in row:
+        if "params" in row:
             path = os.path.join(
                 args.out, f"params_{row['scenario']}_{row['model']}.csv"
             )
-            _write_param_functions(path, row["params_model"])
+            _write_param_functions(path, row["params"])
 
     failures = sum(1 for row in rows if row["rmse"] is None)
     print(f"wrote {results_path} and {summary_path}"

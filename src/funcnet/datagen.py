@@ -8,6 +8,7 @@ trapezoid sums on the predictor grid.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -156,7 +157,9 @@ def generate(scenario: Scenario | str, n: int = 1100, m: int = 100, m_y: int = 7
     y_grid = Grid(m_y)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    gp_seed, noise_seed = seed.spawn(2)
+    # spawn from a copy: the caller's seed is left as it was, so it gives
+    # the same dataset each time it is passed
+    gp_seed, noise_seed = copy.deepcopy(seed).spawn(2)
     x = gp_sample(x_grid, matern, n, gp_seed)
     clean = noiseless_response(scenario, x, x_grid, y_grid)
     noise = np.random.default_rng(noise_seed).standard_normal(clean.shape)

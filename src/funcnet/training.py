@@ -431,30 +431,30 @@ def tune_lambda(model_factory, data, lam_grid, k: int = 5,
     """
     if cfg is None:
         cfg = TrainConfig()
-    pairs = []
-    for entry in lam_grid:
-        if np.isscalar(entry):
-            pairs.append((float(entry), float(entry)))
-        else:
-            lam_b, lam_w = entry
-            pairs.append((float(lam_b), float(lam_w)))
-    if not pairs:
-        raise ValueError("lambda grid is empty")
+    pairs = [(entry, entry) if np.isscalar(entry) else entry for entry in lam_grid]
+    pairs = [(float(lam_b), float(lam_w)) for lam_b, lam_w in pairs]
     x, y, folds, fold_seeds = _cv_folds(data, k, cfg.seed)
 
-    best_pair = None
-    best_score = math.inf
-    for lam_b, lam_w in sorted(pairs, key=lambda p: (p[0] + p[1], p[0])):
-        run_cfg = cfg.replace(lam_b=lam_b, lam_w=lam_w)
-        scores = []
-        for fold_idx, val_idx in enumerate(folds):
-            res = _fold_fit(model_factory, fold_seeds[fold_idx], x, y, val_idx, run_cfg)
-            scores.append(res.best_val_loss)
-        score = float(np.mean(scores))
+    def fold_score(lams, fold, val_idx):
+        run_cfg = cfg.replace(lam_b=lams[0], lam_w=lams[1])
+        return _fold_fit(model_factory, fold_seeds[fold], x, y, val_idx, run_cfg).best_val_loss
+
+    return _select_lambda(pairs, folds, fold_score, key=lambda p: (p[0] + p[1], p[0]))
+
+
+def _select_lambda(candidates, folds, fold_score, key=None):
+    """The candidate, taken in ascending ``key`` order (least smoothing
+    first), with the least mean ``fold_score(candidate, i, val_idx)`` over
+    the ``folds``; a tie goes to the later, smoother one."""
+    candidates = sorted(candidates, key=key)
+    if not candidates:
+        raise ValueError("lambda grid is empty")
+    best, best_score = None, math.inf
+    for candidate in candidates:
+        score = float(np.mean([fold_score(candidate, i, val) for i, val in enumerate(folds)]))
         if score <= best_score:
-            best_score = score
-            best_pair = (lam_b, lam_w)
-    return best_pair
+            best, best_score = candidate, score
+    return best
 
 
 def fd_error(objective, params, grads, eps: float = 1e-5,

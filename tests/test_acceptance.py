@@ -168,7 +168,8 @@ def test_criterion_06_regularization_tradeoff(tmp_path, capsys):
     # the plot-ready dump of the smoothed parameter functions must be
     # emitted and well-formed
     csv_path = tmp_path / "params_cam_fdnn.csv"
-    cli._write_param_functions(str(csv_path), last_pen.to_dict())
+    cli._write_param_functions(str(csv_path),
+                               [(layer.b, layer.w) for layer in last_pen.layers])
     body = [line.split(",") for line in csv_path.read_text().splitlines()]
     kinds = {row[3] for row in body[1:]}
     values = np.array([float(row[6]) for row in body[1:]])

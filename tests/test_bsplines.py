@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.interpolate import BSpline
 
 from funcnet.bsplines import (
     BSplineBasis,
@@ -44,6 +45,37 @@ def test_design_matches_cox_de_boor():
         ]
     )
     npt.assert_allclose(design, oracle, atol=1e-12)
+
+
+# evaluation grids of 2 to 8,193 points (0 and 1 included) and 5,000
+# unsorted random points
+SWEEP_POINTS = [np.linspace(0.0, 1.0, m) for m in (2, 3, 4, 7, 50, 101, 8193)] + [
+    np.random.default_rng(0).random(5000)
+]
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_design_matches_scipy_bit_for_bit(order):
+    # the numpy recurrence makes scipy's operations in scipy's order
+    for num in range(order, 40):
+        basis = BSplineBasis(num, order)
+        for x in SWEEP_POINTS:
+            ref = BSpline.design_matrix(x, basis.knots, basis.degree).toarray()
+            assert basis.design(x).tobytes() == ref.tobytes(), (num, order, x.size)
+
+
+@pytest.mark.parametrize("bad", [[-1e-12], [0.5, 1.0 + 1e-12], [np.nan], [0.2, np.inf], [-np.inf]])
+def test_design_rejects_points_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        BSplineBasis(6).design(bad)
+
+
+def test_design_shapes_of_scalar_and_empty_points():
+    basis = BSplineBasis(6)
+    assert basis.design([]).shape == (0, 6)
+    npt.assert_array_equal(basis.design(0.3), basis.design([0.3]))
+    with pytest.raises(ValueError, match="1-D"):
+        basis.design(np.full((2, 2), 0.5))
 
 
 def test_partition_of_unity():

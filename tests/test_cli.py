@@ -379,6 +379,53 @@ def test_benchmark_is_deterministic(tmp_path):
             == (tmp_path / "b" / "results.csv").read_text())
 
 
+def test_benchmark_files_match_with_one_and_two_workers(tmp_path):
+    # every model of a replicate fits the same data, whichever process
+    # runs it; the serial run used to hand each later model fresh data
+    args = ("benchmark", "--scenarios", "linear,quadratic", "--models", "fflm,fdnn,fbnn",
+            "--write-params", "true", *BENCH_FAST)
+    assert run(*args, "--workers", "1", "--out", tmp_path / "one") == 0
+    assert run(*args, "--workers", "2", "--out", tmp_path / "two") == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+    assert [n for n in names if n.startswith("params_")] == [
+        f"params_{s}_{m}.csv" for s in ("linear", "quadratic") for m in ("fbnn", "fdnn")]
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_param_dump_writes_repr_values_like_csv_writer(tmp_path):
+    # two layers (2 neurons on 3 points, then 1 neuron on 4 points) with
+    # values whose repr is not their str in every Python: 1e-05, -0.0
+    rng = np.random.default_rng(0)
+    layers = [(rng.normal(size=(2, 3)), rng.normal(size=(2, 1, 3, 5))),
+              (np.array([[1e-05, -0.0, 0.0, 1e300]]), rng.normal(size=(1, 2, 4, 3)))]
+    layers[0][1][1, 0, 2, 4] = -1e-05
+    path = tmp_path / "params.csv"
+    cli._write_param_functions(str(path), layers)
+
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "neuron", "source", "kind", "s", "t", "value"])
+        for l_idx, (b, w) in enumerate(layers):
+            s_pts, t_pts = np.linspace(0, 1, w.shape[2]), np.linspace(0, 1, w.shape[3])
+            for k in range(b.shape[0]):
+                for s_i, s in enumerate(s_pts):
+                    writer.writerow([l_idx, k, "", "intercept", repr(float(s)), "",
+                                     repr(float(b[k, s_i]))])
+                for j in range(w.shape[1]):
+                    for s_i, s in enumerate(s_pts):
+                        for t_i, t in enumerate(t_pts):
+                            writer.writerow([l_idx, k, j, "weight", repr(float(s)),
+                                             repr(float(t)), repr(float(w[k, j, s_i, t_i]))])
+    text = path.read_bytes()
+    assert text == expected.read_bytes()
+    assert text.startswith(b"layer,neuron,source,kind,s,t,value\r\n")
+    assert b",,1e-05\r\n" in text and b",,-0.0\r\n" in text and b",-1e-05\r\n" in text
+    assert text.count(b"\r\n") == 1 + 2 * (3 + 15) + (4 + 2 * 12)
+
+
 def test_benchmark_records_failures_without_aborting(tmp_path, capsys):
     # a basis far richer than the data makes the linear solve singular;
     # the run must record the failure and keep going

@@ -165,6 +165,15 @@ def test_generate_shapes_and_determinism():
     assert np.abs(data.y - other.y).max() > 0.1
 
 
+def test_generate_leaves_a_seed_sequence_as_it_was():
+    seed = np.random.SeedSequence(7).spawn(3)[1]
+    first = generate("linear", n=20, m=10, m_y=8, seed=seed)
+    assert seed.n_children_spawned == 0
+    again = generate("linear", n=20, m=10, m_y=8, seed=seed)
+    npt.assert_array_equal(first.x, again.x)
+    npt.assert_array_equal(first.y, again.y)
+
+
 def test_generate_noise_is_unit_variance():
     data = generate("cam", n=400, m=30, m_y=60, seed=3)
     noise = data.y - data.y_clean

@@ -1,6 +1,7 @@
 """Property checks over random small architectures of every network kind:
 exact gradients, serialization round trips and, for the basis network,
-equivalence with its direct expansion."""
+equivalence with its direct expansion; and recovery of noiseless data by
+the linear model."""
 
 import json
 
@@ -11,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcnet import fbnn, fdnn
-from funcnet.baselines import VectorNN, vnn_init
+from funcnet.baselines import FflmModel, VectorNN, fflm_fit, vnn_init
+from funcnet.bsplines import BSplineBasis
+from funcnet.datagen import FuncDataset
 from funcnet.fbnn import FbnnConfig, FbnnNetwork, expand_to_direct
 from funcnet.fdnn import FdnnConfig, FdnnNetwork
-from funcnet.training import grad_check
+from funcnet.grids import Grid
+from funcnet.training import grad_check, rmse
 
 KINDS = ("fdnn", "fbnn", "vnn")
 CLASSES = {"fdnn": FdnnNetwork, "fbnn": FbnnNetwork, "vnn": VectorNN}
@@ -76,3 +80,18 @@ def test_expand_to_direct_predicts_the_same(arch):
     net = make("fbnn", arch)
     x, _ = batch(arch, n=5)
     npt.assert_allclose(expand_to_direct(net).predict(x), net.predict(x), rtol=0, atol=1e-10)
+
+
+@FEW
+@given(sizes=st.tuples(*[st.integers(5, 8)] * 3), r_count=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**16))
+def test_fflm_recovers_noiseless_data_of_its_own_bases(sizes, r_count, seed):
+    rng = np.random.default_rng(seed)
+    x_grid, y_grid = Grid(20), Grid(15)
+    b, c, d = sizes
+    truth = FflmModel(rng.normal(size=b), rng.normal(size=(r_count, c, d)),
+                      BSplineBasis(b), BSplineBasis(c), BSplineBasis(d), x_grid, y_grid)
+    x = rng.normal(size=(60, r_count, x_grid.m))
+    data = FuncDataset(x, truth.predict(x), x_grid, y_grid)
+    refit = fflm_fit(data, b, c, d)
+    assert rmse(refit.predict(x), data.y, y_grid) < 1e-6
