@@ -153,10 +153,9 @@ def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
             sl = slice(b + r * cd, b + (r + 1) * cd)
             m[sl, sl] += lam * pen
 
-    from scipy import linalg  # loaded on first use: nothing else needs scipy.linalg
-
     try:
-        coef = linalg.cho_solve(linalg.cho_factor(m), rhs)
+        low = np.linalg.cholesky(m)
+        coef = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "normal matrix is not positive definite; increase lam or reduce "
@@ -276,6 +275,8 @@ class VectorNN(Network):
 def vnn_init(input_count: int, m: int, m_y: int, hidden=(128, 128),
              activation: str = "tanh", seed=0) -> VectorNN:
     """He-scaled random dense net; the final (identity) layer maps to m_y."""
+    if any(k < 1 for k in hidden):
+        raise ValueError("every hidden layer needs at least one neuron")
     rng = np.random.default_rng(seed)
     dims = [input_count * m, *hidden, m_y]
     weights = []

@@ -2,11 +2,9 @@
 
 Knots are equally spaced in the interior with the first and last knot
 repeated ``order`` times, so the basis is a partition of unity and the
-first/last basis functions interpolate the endpoints.  Evaluation is
-de Boor's recurrence in numpy, so building a basis network or a linear
-model loads no scipy; derivative evaluation, which feeds the Gram
-matrices of the roughness penalties, imports ``scipy.interpolate`` on
-first use.
+first/last basis functions interpolate the endpoints.  Values and
+derivatives come from one evaluator, de Boor's recurrence in numpy; the
+derivatives feed the Gram matrices of the roughness penalties.
 """
 
 from __future__ import annotations
@@ -41,20 +39,29 @@ class BSplineBasis:
         )
         self._gram_cache: dict = {}
 
-    def design(self, x) -> np.ndarray:
-        """Evaluation matrix: entry (i, d) is basis function d at x[i].
+    def design(self, x, deriv: int = 0) -> np.ndarray:
+        """Evaluation matrix: entry (i, d) is the ``deriv``-th derivative of
+        basis function d at x[i].
 
         de Boor's recurrence on the knot interval of each point, with the
         operations of scipy's ``BSpline.design_matrix`` in the same order,
-        so the two agree bit for bit.  A scalar ``x`` gives one row and an
-        empty one none.
+        so for ``deriv = 0`` the two agree bit for bit.  Its last ``deriv``
+        levels differentiate instead (de Boor, *A Practical Guide to
+        Splines*, ch. X).  Derivatives at a knot are taken from the right,
+        at 1 from the left.  A scalar ``x`` gives one row and an empty one
+        none.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim != 1:
             raise ValueError(f"expected points in a 1-D array, got shape {x.shape}")
         if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
             raise ValueError("points must be finite and lie in [0, 1]")
+        if deriv < 0:
+            raise ValueError(f"derivative order must be non-negative, got {deriv}")
         k, t = self.degree, self.knots
+        out = np.zeros((x.size, self.num_basis))
+        if deriv > k:
+            return out
         ell = np.clip(np.searchsorted(t, x, "right") - 1, k, self.num_basis - 1)
         h = np.zeros((x.size, k + 1))
         h[:, 0] = 1.0
@@ -63,42 +70,28 @@ class BSplineBasis:
             h[:, 0] = 0.0
             for n in range(1, j + 1):
                 xb, xa = t[ell + n], t[ell + n - j]
-                w = hh[:, n - 1] / (xb - xa)
-                h[:, n - 1] += w * (xb - x)
-                h[:, n] = w * (x - xa)
-        out = np.zeros((x.size, self.num_basis))
+                if j <= k - deriv:
+                    w = hh[:, n - 1] / (xb - xa)
+                    h[:, n - 1] += w * (xb - x)
+                    h[:, n] = w * (x - xa)
+                else:
+                    w = j * hh[:, n - 1] / (xb - xa)
+                    h[:, n - 1] -= w
+                    h[:, n] = w
         np.put_along_axis(out, (ell - k)[:, None] + np.arange(k + 1), h, axis=1)
         return out
 
-    def derivative_design(self, x, deriv: int) -> np.ndarray:
-        """Like :meth:`design` but for the ``deriv``-th derivative."""
-        if deriv == 0:
-            return self.design(x)
-        x = np.asarray(x, dtype=float)
-        if deriv > self.degree:
-            return np.zeros((x.size, self.num_basis))
-        from scipy.interpolate import BSpline  # loaded on first use
-
-        out = np.empty((x.size, self.num_basis))
-        coef = np.zeros(self.num_basis)
-        for d in range(self.num_basis):
-            coef[d] = 1.0
-            spline = BSpline(self.knots, coef.copy(), self.degree)
-            out[:, d] = spline.derivative(deriv)(x)
-            coef[d] = 0.0
-        return out
-
-    def gram(self, da: int, db: int, num_points: int = GRAM_QUAD_POINTS) -> np.ndarray:
+    def gram(self, da: int, db: int) -> np.ndarray:
         """Gram matrix G[a, b] = integral of v_a^(da) * v_b^(db) over [0, 1].
 
         Assembled by dense trapezoid quadrature on a refined grid; cached
-        per (da, db, num_points).
+        per (da, db).
         """
-        key = (da, db, num_points)
+        key = (da, db)
         if key not in self._gram_cache:
-            quad = Grid(num_points)
-            left = self.derivative_design(quad.points, da)
-            right = left if db == da else self.derivative_design(quad.points, db)
+            quad = Grid(GRAM_QUAD_POINTS)
+            left = self.design(quad.points, da)
+            right = left if db == da else self.design(quad.points, db)
             self._gram_cache[key] = left.T @ (quad.trapezoid_weights[:, None] * right)
         return self._gram_cache[key]
 

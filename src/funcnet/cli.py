@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import baselines, datagen, fbnn, fdnn, training
+from .bsplines import BSplineBasis
 from .gp import MaternParams
 from .grids import Grid
 
@@ -161,7 +162,6 @@ _GRADCHECK_DEFAULTS = {
     "eps": (_finite, 1e-5),
     "tolerance": (_finite, 1e-4),
     **_COMMON,
-    "corrupt": (_bool, False),
 }
 _COMMANDS = {
     "simulate": ("generate a scenario dataset CSV", _SIM_DEFAULTS),
@@ -179,10 +179,6 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", default=None)
         for key, (cast, _, *choices) in table.items():
-            if key == "corrupt":  # hidden switch for testing the audit itself
-                sp.add_argument("--corrupt", action="store_const", const=True,
-                                default=None, help=argparse.SUPPRESS)
-                continue
             sp.add_argument("--" + key.replace("_", "-"), default=None,
                             type=cast, choices=choices[0] if choices else None)
     return parser
@@ -557,7 +553,17 @@ def cmd_benchmark(args) -> int:
     for name in args.scenarios:
         if name not in datagen.SCENARIOS:
             raise _UsageError(f"unknown scenario {name!r}")
+    for flag, names in (("--models", args.models), ("--scenarios", args.scenarios)):
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise _UsageError(f"{flag} lists {', '.join(twice)} more than once")
     _check_smoothing(args, args.models, args.m, args.m_y)
+    # a bad architecture flag fails here, not once per replicate
+    for kind in args.models:
+        if kind == "fflm":
+            BSplineBasis(args.num_basis)
+        else:
+            _build_network(kind, args.m, args.m_y, 1, args, 0)
     os.makedirs(args.out, exist_ok=True)
     tasks = _benchmark_tasks(args)
     args_dict = vars(args).copy()
@@ -646,15 +652,6 @@ def cmd_gradcheck(args) -> int:
               "tolerance": args.tolerance, "errors": {}}
     errors = []
     for name, net in nets.items():
-        if args.corrupt:
-            original_backward = net.backward
-
-            def broken(cache, resid, _orig=original_backward):
-                grads = _orig(cache, resid)
-                grads[0] = grads[0] + 1.0
-                return grads
-
-            net.backward = broken
         err_loss = training.grad_check(net, x, y, eps=args.eps)
         entry = {"loss": err_loss}
         if name in ("fdnn", "fbnn"):

@@ -127,6 +127,7 @@ def test_criterion_04_nonlinear_separation(capsys):
 
 
 def test_criterion_05_quadratic_improvement(capsys):
+    started = time.monotonic()
     rows = {"fflm": [], "fdnn": []}
     for i in range(1, 11):
         train, val, test, merged = reference_replicate("quadratic", i)
@@ -135,13 +136,14 @@ def test_criterion_05_quadratic_improvement(capsys):
     m_lin, m_net = float(np.mean(rows["fflm"])), float(np.mean(rows["fdnn"]))
     ok = m_net <= 1.25 and m_net <= m_lin - 0.3
     _report(capsys, 5, "near-floor RMSE where the linear model fails", ok,
-            f"fdnn {m_net:.4f} vs fflm {m_lin:.4f}")
+            f"fdnn {m_net:.4f} vs fflm {m_lin:.4f}, {time.monotonic() - started:.0f}s")
 
 
 def test_criterion_06_regularization_tradeoff(tmp_path, capsys):
     # explicit roughness penalty replaces early stopping as the
     # regularizer: same fit quality to within the margin, far smoother
     # weight surfaces
+    started = time.monotonic()
     train, _, _, _ = reference_replicate("cam", 1)
     lam_b, lam_w = training.tune_lambda(
         lambda seed: fn.fdnn.init(FDNN_FLAT, seed), (train.x, train.y),
@@ -179,10 +181,12 @@ def test_criterion_06_regularization_tradeoff(tmp_path, capsys):
     ok = (gap <= 0.20 and ratio >= 5.0
           and kinds == {"intercept", "weight"} and np.isfinite(values).all())
     _report(capsys, 6, "tuned penalty keeps RMSE while smoothing the weights", ok,
-            f"rmse gap {gap:.4f}, roughness ratio {ratio:.0f}, lam {lam_w}")
+            f"rmse gap {gap:.4f}, roughness ratio {ratio:.0f}, lam {lam_w}, "
+            f"{time.monotonic() - started:.0f}s")
 
 
 def test_criterion_07_penalty_monotonicity(capsys):
+    started = time.monotonic()
     data = fn.generate(fn.Scenario("linear"), n=120, m=40, m_y=30, seed=11)
     roughness = []
     for lam_w in (0.0, 1e-2, 1e-1, 1.0):
@@ -193,13 +197,16 @@ def test_criterion_07_penalty_monotonicity(capsys):
         roughness.append(net.penalty(0.0, 1.0)[0])
     ok = all(roughness[k + 1] <= roughness[k] for k in range(3))
     _report(capsys, 7, "fitted roughness non-increasing in the penalty weight", ok,
-            " -> ".join(f"{v:.3g}" for v in roughness))
+            " -> ".join(f"{v:.3g}" for v in roughness)
+            + f", {time.monotonic() - started:.1f}s")
 
 
 def test_criterion_08_basis_penalty_quadrature(capsys):
     # the Gram quadratic form must equal literally integrating the squared
     # surface Laplacian; per-knot-cell Gauss-Legendre (4 nodes) is exact
     # for the piecewise-polynomial integrand
+    started = time.monotonic()
+
     def cell_nodes(basis):
         cells = np.unique(basis.knots)
         bx, bw = np.polynomial.legendre.leggauss(4)
@@ -218,18 +225,19 @@ def test_criterion_08_basis_penalty_quadrature(capsys):
         gram_value = float(coef.reshape(-1) @ pen @ coef.reshape(-1))
         xs_r, w_r = cell_nodes(row_basis)
         xs_c, w_c = cell_nodes(col_basis)
-        surf = (row_basis.derivative_design(xs_r, 2) @ coef
+        surf = (row_basis.design(xs_r, 2) @ coef
                 @ col_basis.design(xs_c).T
                 + row_basis.design(xs_r) @ coef
-                @ col_basis.derivative_design(xs_c, 2).T)
+                @ col_basis.design(xs_c, 2).T)
         dense = float(w_r @ (surf * surf) @ w_c)
         worst = max(worst, abs(gram_value - dense) / abs(dense))
     ok = worst <= 1e-6
     _report(capsys, 8, "coefficient penalty equals dense quadrature", ok,
-            f"worst rel diff {worst:.2e}")
+            f"worst rel diff {worst:.2e}, {time.monotonic() - started:.2f}s")
 
 
 def test_criterion_09_process_generator_statistics(capsys):
+    started = time.monotonic()
     grid = fn.Grid(101)
     curves = fn.gp_sample(grid, fn.MaternParams(), 2000, seed=2024)
     var_err = float(np.abs(curves.var(axis=0, ddof=1) - 1.0).max())
@@ -240,10 +248,12 @@ def test_criterion_09_process_generator_statistics(capsys):
     cov_err = abs(float(np.mean(covs)) - 0.5240)
     ok = var_err <= 0.15 and cov_err <= 0.05
     _report(capsys, 9, "generator matches its covariance law", ok,
-            f"max var dev {var_err:.3f}, lag-0.5 cov err {cov_err:.4f}")
+            f"max var dev {var_err:.3f}, lag-0.5 cov err {cov_err:.4f}, "
+            f"{time.monotonic() - started:.2f}s")
 
 
 def test_criterion_10_cv_stopping_strategies(capsys):
+    started = time.monotonic()
     _, _, test, merged = reference_replicate("linear", 1)
     cfg = fn.TrainConfig(step_size=1e-2, max_iterations=400, patience=100,
                          seed=41)
@@ -255,13 +265,15 @@ def test_criterion_10_cv_stopping_strategies(capsys):
         results[strategy] = rmse_on(model, test)
     ok = all(np.isfinite(v) for v in results.values())
     _report(capsys, 10, "every CV stopping strategy runs end to end", ok,
-            " ".join(f"{k} {v:.3f}" for k, v in results.items()))
+            " ".join(f"{k} {v:.3f}" for k, v in results.items())
+            + f", {time.monotonic() - started:.0f}s")
 
 
 def test_criterion_11_external_csv_pipeline(tmp_path, capsys):
     # a dataset supplied in the documented CSV layout (including missing
     # cells) drives the full CLI pipeline, and the functional networks
     # beat the linear model
+    started = time.monotonic()
     data = fn.generate(fn.Scenario("quadratic"), n=440, m=50, m_y=40, seed=4242)
     path = tmp_path / "user.csv"
     fn.save_table(str(path), data)
@@ -293,4 +305,4 @@ def test_criterion_11_external_csv_pipeline(tmp_path, capsys):
     ok = scores["fdnn"] < scores["fflm"] and scores["fbnn"] < scores["fflm"]
     _report(capsys, 11, "user-supplied CSV pipeline, networks beat the linear model",
             ok, f"fflm {scores['fflm']:.3f} fdnn {scores['fdnn']:.3f} "
-                f"fbnn {scores['fbnn']:.3f}")
+                f"fbnn {scores['fbnn']:.3f}, {time.monotonic() - started:.0f}s")

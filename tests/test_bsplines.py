@@ -116,12 +116,28 @@ def test_derivative_design_by_finite_differences():
     xs = np.linspace(0.1, 0.9, 11)  # stay away from the clamped ends
     eps = 1e-6
     fd = (basis.design(xs + eps) - basis.design(xs - eps)) / (2 * eps)
-    npt.assert_allclose(basis.derivative_design(xs, 1), fd, atol=1e-5)
+    npt.assert_allclose(basis.design(xs, 1), fd, atol=1e-5)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_derivatives_match_scipy(order):
+    # the same sweep as the values, plus the knots themselves; roundoff is
+    # relative to the size of the matrix, as its entries cancel
+    for num in range(order, 40):
+        basis = BSplineBasis(num, order)
+        splines = BSpline(basis.knots, np.eye(num), basis.degree)
+        for x in SWEEP_POINTS + [np.unique(basis.knots)]:
+            for deriv in range(1, order):
+                ref = splines.derivative(deriv)(x)
+                err = np.abs(basis.design(x, deriv) - ref).max()
+                assert err <= 1e-13 * max(np.abs(ref).max(), 1.0), (num, order, deriv, x.size)
 
 
 def test_derivative_beyond_degree_is_zero():
     basis = BSplineBasis(5, order=2)  # piecewise linear
-    npt.assert_allclose(basis.derivative_design(np.linspace(0, 1, 9), 2), 0.0)
+    npt.assert_array_equal(basis.design(np.linspace(0, 1, 9), 2), np.zeros((9, 5)))
+    with pytest.raises(ValueError, match="non-negative"):
+        basis.design([0.5], -1)
 
 
 def test_gram_symmetry_and_cache():
@@ -193,9 +209,9 @@ def test_laplacian_penalty_matches_exact_quadrature():
 
     xs_r, w_r = gauss_nodes(row)
     xs_c, w_c = gauss_nodes(col)
-    d2_row = row.derivative_design(xs_r, 2)
+    d2_row = row.design(xs_r, 2)
     d0_row = row.design(xs_r)
-    d2_col = col.derivative_design(xs_c, 2)
+    d2_col = col.design(xs_c, 2)
     d0_col = col.design(xs_c)
 
     rng = np.random.default_rng(42)

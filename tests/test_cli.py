@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from funcnet import baselines, cli, datagen, fbnn, fdnn, training
+from funcnet import baselines, cli, datagen, fbnn, fdnn, network, training
 from funcnet.cli import main
 from funcnet.training import rmse
 
@@ -236,7 +236,7 @@ def test_fit_rejects_non_finite_floats(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (("--tolerance", "nan", "--corrupt"), "--tolerance"),
+    (("--tolerance", "nan"), "--tolerance"),
     (("--eps", "nan"), "--eps"),
     (("--eps", "0"), "eps"),
 ])
@@ -450,12 +450,45 @@ def test_benchmark_rejects_unknown_model(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("data generated before the usage check")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--models", "fdnn,vnn", "--activation", "bogus"),
+    ("--models", "fdnn", "--neurons", "0"),
+    ("--models", "fbnn", "--num-basis", "3"),
+    ("--models", "fflm", "--num-basis", "3"),
+    ("--models", "vnn", "--hidden", "0"),
+])
+def test_benchmark_rejects_bad_architecture_before_generating_data(tmp_path, capsys,
+                                                                   monkeypatch, flags):
+    monkeypatch.setattr(datagen, "generate", fail_if_called)
+    out = tmp_path / "bench"
+    assert run("benchmark", "--out", out, *BENCH_FAST, *flags) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (("--models", "fdnn,fflm,fdnn"), "", "--models"),
+    (("--scenarios", "linear,cam,linear"), "", "--scenarios"),
+    ((), "models = fflm,fflm\n", "--models"),
+])
+def test_benchmark_refuses_duplicate_names(tmp_path, capsys, monkeypatch, flags, config,
+                                           named):
+    monkeypatch.setattr(datagen, "generate", fail_if_called)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "bench"
+    assert run("benchmark", "--config", cfg, "--out", out, *BENCH_FAST, *flags) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_rejects_penalised_vnn_before_generating_data(tmp_path, capsys,
                                                                monkeypatch):
-    def generate(*args, **kwargs):
-        raise AssertionError("data generated before the usage check")
-
-    monkeypatch.setattr(datagen, "generate", generate)
+    monkeypatch.setattr(datagen, "generate", fail_if_called)
     for flag in ("--lam", "--lam-b", "--lam-w"):
         out = tmp_path / flag.strip("-")
         code = run("benchmark", "--scenarios", "linear", "--models", "fflm,vnn",
@@ -478,8 +511,16 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_gradcheck_detects_corrupted_gradient(tmp_path, capsys):
-    assert run("gradcheck", "--corrupt", "--out", tmp_path / "gc") == 2
+def test_gradcheck_detects_corrupted_gradient(tmp_path, capsys, monkeypatch):
+    backward = network.Network.backward
+
+    def broken(self, cache, resid):
+        grads = backward(self, cache, resid)
+        grads[0] = grads[0] + 1.0
+        return grads
+
+    monkeypatch.setattr(network.Network, "backward", broken)
+    assert run("gradcheck", "--out", tmp_path / "gc") == 2
     assert "FAIL" in capsys.readouterr().err
 
 

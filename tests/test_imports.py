@@ -1,5 +1,5 @@
-"""What importing and running funcnet loads: numpy only, until a closed-form
-linear fit or a basis-network penalty needs scipy."""
+"""Importing and running funcnet loads no scipy: numpy is its only runtime
+dependency."""
 
 import os
 import subprocess
@@ -15,13 +15,14 @@ import numpy as np
 
 import funcnet
 from funcnet import cli, fbnn, fdnn, training
-from funcnet.baselines import fflm_fit, vnn_init
+from funcnet.baselines import fflm_fit, fflm_tune_lambda, vnn_init
 
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 
+out = sys.argv[1]
 data = funcnet.generate("linear", n=24, m=9, m_y=7, seed=1)
 cfg = training.TrainConfig(max_iterations=3)
 nets = [
@@ -33,16 +34,21 @@ for net in nets:
     training.train_fixed(net, data.x, data.y, 3, cfg)
     assert np.isfinite(net.predict(data.x)).all()
 assert cli.main(["simulate", "--n", "12", "--m", "9", "--m-y", "7",
-                 "--out", sys.argv[1]]) == 0
-assert not scipy_modules(), scipy_modules()[:5]
+                 "--out", out + "/sim"]) == 0
 
-# the two paths that need scipy still work, and load it
-model = fflm_fit(data, 5, 5, 5)
+# the closed-form linear fit and every roughness penalty
+model = fflm_fit(data, 5, 5, 5, lam=1e-3)
 assert np.isfinite(model.predict(data.x)).all()
-assert "scipy.linalg" in sys.modules
-value, grads = nets[1].penalty(1.0, 1.0)
-assert value > 0 and all(np.isfinite(g).all() for g in grads)
-assert "scipy.interpolate" in sys.modules
+assert fflm_tune_lambda(data, [0.0, 1e-2], k=2, num_intercept_basis=5,
+                        num_pred_basis=5, num_resp_basis=5) in (0.0, 1e-2)
+training.train_fixed(nets[1], data.x, data.y, 3, cfg.replace(lam_b=1e-2, lam_w=1e-2))
+assert np.isfinite(nets[1].predict(data.x)).all()
+assert cli.main(["gradcheck", "--out", out + "/gc"]) == 0
+assert cli.main(["benchmark", "--models", "fflm,fdnn,fbnn,vnn", "--replicates", "1",
+                 "--n", "30", "--m", "9", "--m-y", "7", "--neurons", "2",
+                 "--grid-points", "6", "--hidden", "4", "--num-basis", "5",
+                 "--max-iterations", "3", "--out", out + "/bench"]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
 print("ok")
 """
 
@@ -50,7 +56,7 @@ print("ok")
 def test_import_and_networks_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "sim")],
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
