@@ -1,103 +1,80 @@
 """Reference estimators: penalized functional linear model and a vector net.
 
-The linear model expands the intercept and every coefficient surface in
-B-splines and solves the discretized least-squares problem in closed
-form.  The vector network flattens the predictor curves and runs a
-standard dense net: the network loop of the functional networks over
-dense layers, so the shared training loop applies.
+The linear model is the basis network without a hidden layer, fitted in
+closed form.  The vector network flattens the predictor curves into a
+standard dense net.  Both run the shared network loop, so predictions,
+penalties and gradients (and, for the vector net, training) come from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import training
 from .activations import Activation
 from .bsplines import BSplineBasis, laplacian_penalty_matrix
+from .fbnn import FbnnLayer
 from .grids import Grid
 from .network import Network
 
-SCHEMA_VERSION = 1
+# the model document's basis entries, in from_coefficients' order
+_BASIS_KEYS = ("intercept_basis", "pred_basis", "resp_basis")
 
 
-@dataclass
-class FflmModel:
-    """Linear model Y(t) = alpha(t) + sum_r ∫ beta_r(s,t) X_r(s) ds."""
+class FflmModel(Network):
+    """Linear model Y(t) = alpha(t) + sum_r ∫ beta_r(s,t) X_r(s) ds: the basis
+    network without a hidden layer.  Its one identity :class:`FbnnLayer`
+    holds alpha in ``b_coef[0]`` and beta_r[c, d] (c on the predictor axis)
+    in ``w_coef[0, r, d, c]``: rows on the response basis, columns on the
+    predictor basis.  ``lam`` is the surface penalty it was fitted with."""
 
-    alpha_coef: np.ndarray
-    beta_coef: np.ndarray  # (R, C, D): C on the s axis, D on the t axis
-    intercept_basis: BSplineBasis
-    pred_basis: BSplineBasis
-    resp_basis: BSplineBasis
-    x_grid: Grid
-    y_grid: Grid
-    lam: float = 0.0
-    _design_cache: dict = field(default_factory=dict, repr=False)
+    kind = "fflm"
+    layer_type = FbnnLayer
 
-    def _designs(self):
-        if not self._design_cache:
-            self._design_cache["vi"] = self.intercept_basis.design(self.y_grid.points)
-            self._design_cache["vp"] = self.pred_basis.design(self.x_grid.points)
-            self._design_cache["vr"] = self.resp_basis.design(self.y_grid.points)
-        c = self._design_cache
-        return c["vi"], c["vp"], c["vr"]
+    def __init__(self, layers: list[FbnnLayer], input_grid: Grid, input_count: int,
+                 lam: float = 0.0):
+        super().__init__(layers, input_grid, input_count)
+        self.lam = lam
 
-    def features(self, x) -> np.ndarray:
-        """Z[i, r, c] = trapezoid of basis c against predictor r of sample i."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[1] != self.beta_coef.shape[0]:
-            raise ValueError(
-                f"expected (n, {self.beta_coef.shape[0]}, {self.x_grid.m}) input"
-            )
-        _, vp, _ = self._designs()
-        return np.tensordot(x * self.x_grid.trapezoid_weights, vp, axes=([2], [0]))
+    @classmethod
+    def from_coefficients(cls, alpha, beta, intercept_basis: BSplineBasis,
+                          pred_basis: BSplineBasis, resp_basis: BSplineBasis,
+                          x_grid: Grid, y_grid: Grid, lam: float = 0.0) -> "FflmModel":
+        """The model of intercept coefficients ``alpha`` (B,) and surface
+        coefficients ``beta`` (R, C, D), C on the predictor axis."""
+        beta = np.asarray(beta, dtype=float)
+        layer = FbnnLayer(np.asarray(alpha, dtype=float)[None], beta.transpose(0, 2, 1)[None],
+                          intercept_basis, resp_basis, pred_basis, x_grid, y_grid,
+                          Activation("identity"))
+        return cls([layer], x_grid, beta.shape[0], lam)
 
-    def predict(self, x) -> np.ndarray:
-        vi, _, vr = self._designs()
-        z = self.features(x)
-        mixed = np.tensordot(z, self.beta_coef, axes=([1, 2], [0, 1]))  # (n, D)
-        return mixed @ vr.T + vi @ self.alpha_coef
-
-    def to_dict(self) -> dict:
+    def _layout(self) -> dict:
+        layer = self.layers[0]
+        bases = zip(_BASIS_KEYS, (layer.intercept_basis, layer.col_basis, layer.row_basis))
         return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fflm",
-            "x_m": self.x_grid.m,
-            "y_m": self.y_grid.m,
+            "x_m": self.input_grid.m,
+            "y_m": self.output_grid.m,
             "lam": self.lam,
-            "intercept_basis": [self.intercept_basis.num_basis, self.intercept_basis.order],
-            "pred_basis": [self.pred_basis.num_basis, self.pred_basis.order],
-            "resp_basis": [self.resp_basis.num_basis, self.resp_basis.order],
-            "alpha_coef": self.alpha_coef.tolist(),
-            "beta_coef": self.beta_coef.tolist(),
+            **{key: [basis.num_basis, basis.order] for key, basis in bases},
+            "alpha_coef": layer.b_coef[0].tolist(),
+            "beta_coef": layer.w_coef[0].transpose(0, 2, 1).tolist(),
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FflmModel":
-        if doc.get("kind") != "fflm":
-            raise ValueError(f"not an fflm document: kind={doc.get('kind')!r}")
-        return cls(
-            np.asarray(doc["alpha_coef"], dtype=float),
-            np.asarray(doc["beta_coef"], dtype=float),
-            BSplineBasis(*doc["intercept_basis"]),
-            BSplineBasis(*doc["pred_basis"]),
-            BSplineBasis(*doc["resp_basis"]),
-            Grid(doc["x_m"]),
-            Grid(doc["y_m"]),
-            lam=float(doc["lam"]),
-        )
+    def _from_layout(cls, doc: dict) -> "FflmModel":
+        bases = (BSplineBasis(*doc[key]) for key in _BASIS_KEYS)
+        return cls.from_coefficients(doc["alpha_coef"], doc["beta_coef"], *bases,
+                                     Grid(doc["x_m"]), Grid(doc["y_m"]), float(doc["lam"]))
 
 
 def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
              num_resp_basis: int = 15, lam: float = 0.0, order: int = 4) -> FflmModel:
     """Closed-form penalized least squares for the linear model.
 
-    Minimizes mean ∫(Y - Yhat)^2 dt + lam * sum_r ∫∫(Δbeta_r)^2, where the
-    roughness kernel is the same Gram form used by the basis network.
-    The intercept is unpenalized.  Raises if the normal matrix is not
-    positive definite (under-determined at lam=0).
+    Minimizes mean ∫(Y - Yhat)^2 dt + lam * sum_r ∫∫(Δbeta_r)^2: the
+    network loss plus the model's ``penalty(0, lam)``, so the intercept is
+    unpenalized.  Raises if the normal matrix is not positive definite
+    (under-determined at lam=0).
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
@@ -107,18 +84,15 @@ def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
     if n < 1:
         raise ValueError("need at least one sample")
 
-    model = FflmModel(
-        np.zeros(num_intercept_basis),
-        np.zeros((r_count, num_pred_basis, num_resp_basis)),
-        BSplineBasis(num_intercept_basis, order),
-        BSplineBasis(num_pred_basis, order),
-        BSplineBasis(num_resp_basis, order),
-        data.x_grid,
-        data.y_grid,
-        lam=lam,
-    )
-    vi, _, vr = model._designs()
-    z = model.features(x)  # (n, R, C)
+    bases = [BSplineBasis(size, order)
+             for size in (num_intercept_basis, num_pred_basis, num_resp_basis)]
+    model = FflmModel.from_coefficients(
+        np.zeros(num_intercept_basis), np.zeros((r_count, num_pred_basis, num_resp_basis)),
+        *bases, data.x_grid, data.y_grid, lam)
+    layer = model.layers[0]
+    vi, vr = layer.design_intercept, layer.design_row
+    # Z[i, r, c] = trapezoid of predictor basis c against predictor r of sample i
+    z = np.tensordot(x * data.x_grid.trapezoid_weights, layer.design_col, axes=([2], [0]))
     q = data.y_grid.trapezoid_weights
     qvi = q[:, None] * vi
     qvr = q[:, None] * vr
@@ -148,7 +122,7 @@ def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
             s_rr = z[:, r, :].T @ z[:, r2, :] / n  # (C, C)
             m[sl, slice(b + r2 * cd, b + (r2 + 1) * cd)] = np.kron(s_rr, g_rr)
     if lam > 0:
-        pen = laplacian_penalty_matrix(model.pred_basis, model.resp_basis)
+        pen = laplacian_penalty_matrix(layer.col_basis, layer.row_basis)
         for r in range(r_count):
             sl = slice(b + r * cd, b + (r + 1) * cd)
             m[sl, sl] += lam * pen
@@ -161,8 +135,8 @@ def fflm_fit(data, num_intercept_basis: int = 15, num_pred_basis: int = 15,
             "normal matrix is not positive definite; increase lam or reduce "
             "the basis sizes"
         ) from exc
-    model.alpha_coef = coef[:b]
-    model.beta_coef = coef[b:].reshape(r_count, num_pred_basis, num_resp_basis)
+    beta = coef[b:].reshape(r_count, num_pred_basis, num_resp_basis)
+    model.set_parameters([coef[:b][None], beta.transpose(0, 2, 1)[None]])
     return model
 
 

@@ -133,7 +133,7 @@ _FIT_DEFAULTS = {
     "model": (str, "fdnn", MODELS),
     "mode": (str, "early-stopping", ("early-stopping", "cv", "fixed")),
     "cv_strategy": (str, "mean", training.ES_STRATEGIES),
-    "folds": (int, 5),
+    "folds": (_at_least(2), 5),
     "iterations": (_at_least(0), 1000),
     **_ARCH_DEFAULTS,
     **_TRAIN_DEFAULTS,
@@ -276,16 +276,18 @@ def _default_split(n: int) -> tuple[int, int, int]:
 
 
 def _resolve_layout(args):
-    m, m_y = args.m, args.m_y
+    layout = {"m": args.m, "m_y": args.m_y}
     sidecar = os.path.splitext(args.data)[0] + ".json"
-    if (m is None or m_y is None) and os.path.exists(sidecar):
+    if None in layout.values() and os.path.exists(sidecar):
         with open(sidecar) as fh:
             doc = json.load(fh)
-        m = doc["m"] if m is None else m
-        m_y = doc["m_y"] if m_y is None else m_y
-    if m is None or m_y is None:
+        for key in [key for key, value in layout.items() if value is None]:
+            layout[key] = doc.get(key) if isinstance(doc, dict) else None
+            if type(layout[key]) is not int:  # bool is an int subclass
+                raise _UsageError(f"{sidecar}: {key!r} is missing or not an integer")
+    if None in layout.values():
         raise _UsageError("--m/--m-y required (no dataset sidecar found)")
-    return m, m_y
+    return layout["m"], layout["m_y"]
 
 
 def _build_network(kind: str, m: int, m_y: int, input_count: int, args, seed):
@@ -372,9 +374,8 @@ def _merge(train, val) -> datagen.FuncDataset:
 
 def _fit_fflm(merged, args, lam_grid=None):
     """Closed-form linear fit (λ tuned by k-fold CV over ``lam_grid`` if given)."""
-    bases = dict(num_intercept_basis=args.num_basis,
-                 num_pred_basis=args.num_basis,
-                 num_resp_basis=args.num_basis)
+    bases = dict.fromkeys(("num_intercept_basis", "num_pred_basis", "num_resp_basis"),
+                          args.num_basis)
     lam = args.lam if args.lam is not None else args.lam_w
     if lam_grid:
         lam = baselines.fflm_tune_lambda(merged, lam_grid, k=args.folds,
@@ -386,13 +387,13 @@ def cmd_fit(args) -> int:
     if not args.data:
         raise _UsageError("fit requires --data PATH")
     sizes = _split_sizes(args)
+    cfg = _train_config(args)
     m, m_y = _resolve_layout(args)
     _check_smoothing(args, [args.model], m, m_y)
     data = datagen.load_table(args.data, m, m_y)
     spec = datagen.SplitSpec(*(sizes or _default_split(data.n)), args.split_seed)
     train, val, test = datagen.split(data, spec)
     os.makedirs(args.out, exist_ok=True)
-    cfg = _train_config(args)
     input_count = data.x.shape[1]
     merged = _merge(train, val)  # what every mode but early stopping fits on
 
@@ -482,7 +483,7 @@ def _benchmark_tasks(args):
     return tasks
 
 
-def _run_benchmark_task(task, args) -> dict:
+def _run_benchmark_task(task, args, cfg) -> dict:
     scenario = datagen.Scenario(task["scenario"], args.first_term)
     data = datagen.generate(scenario, args.n, args.m, args.m_y,
                             seed=task["data_seed"])
@@ -490,7 +491,6 @@ def _run_benchmark_task(task, args) -> dict:
     train, val, test = datagen.split(
         data, datagen.SplitSpec(n_train, n_val, n_test, task["split_seed"])
     )
-    cfg = _train_config(args)
     model_seed = task["model_seed"]
     kind = task["model"]
     if kind == "fflm":
@@ -511,10 +511,10 @@ def _run_benchmark_task(task, args) -> dict:
 
 
 def _task_wrapper(payload):
-    task, args_dict = payload
+    task, args_dict, cfg = payload
     args = argparse.Namespace(**args_dict)
     try:
-        return _run_benchmark_task(task, args)
+        return _run_benchmark_task(task, args, cfg)
     except Exception as exc:  # recorded, run continues
         return {
             "scenario": task["scenario"],
@@ -558,7 +558,8 @@ def cmd_benchmark(args) -> int:
         if twice:
             raise _UsageError(f"{flag} lists {', '.join(twice)} more than once")
     _check_smoothing(args, args.models, args.m, args.m_y)
-    # a bad architecture flag fails here, not once per replicate
+    # a bad training or architecture flag fails here, not once per replicate
+    cfg = _train_config(args)
     for kind in args.models:
         if kind == "fflm":
             BSplineBasis(args.num_basis)
@@ -567,7 +568,7 @@ def cmd_benchmark(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     tasks = _benchmark_tasks(args)
     args_dict = vars(args).copy()
-    payloads = [(task, args_dict) for task in tasks]
+    payloads = [(task, args_dict, cfg) for task in tasks]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_task_wrapper, payloads))

@@ -32,14 +32,16 @@ def linear_dataset(n=80, m=30, m_y=20, seed=0, noise=0.0):
 
 def intercept_values(model):
     """The fitted intercept alpha on the response grid."""
-    return model.intercept_basis.design(model.y_grid.points) @ model.alpha_coef
+    layer = model.layers[0]
+    return layer.intercept_basis.design(layer.out_grid.points) @ layer.b_coef[0]
 
 
 def beta_surface(model, r=0):
     """Coefficient surface beta_r on the (m, m_y) grid, s along rows."""
-    vp = model.pred_basis.design(model.x_grid.points)
-    vr = model.resp_basis.design(model.y_grid.points)
-    return vp @ model.beta_coef[r] @ vr.T
+    layer = model.layers[0]
+    vp = layer.col_basis.design(layer.in_grid.points)  # predictor basis
+    vr = layer.row_basis.design(layer.out_grid.points)  # response basis
+    return vp @ layer.w_coef[0, r].T @ vr.T
 
 
 # --------------------------------------------------------------------- FFLM
@@ -51,13 +53,15 @@ def test_fflm_recovers_its_own_model():
     base = linear_dataset(n=90, seed=1)
     template = fflm_fit(base, num_intercept_basis=6, num_pred_basis=6,
                         num_resp_basis=6)
+    layer = template.layers[0]
     rng = np.random.default_rng(5)
-    truth = FflmModel(
-        rng.normal(size=template.alpha_coef.shape),
-        rng.normal(size=template.beta_coef.shape),
-        template.intercept_basis,
-        template.pred_basis,
-        template.resp_basis,
+    truth = FflmModel.from_coefficients(
+        rng.normal(size=layer.intercept_basis.num_basis),
+        rng.normal(size=(layer.in_count, layer.col_basis.num_basis,
+                         layer.row_basis.num_basis)),
+        layer.intercept_basis,
+        layer.col_basis,
+        layer.row_basis,
         base.x_grid,
         base.y_grid,
     )
@@ -82,15 +86,15 @@ def test_fflm_fits_the_linear_scenario_exactly_without_noise():
 
 def test_fflm_is_deterministic_and_permutation_invariant():
     data = linear_dataset(n=60, seed=3, noise=1.0)
-    a = fflm_fit(data)
-    b = fflm_fit(data)
-    npt.assert_array_equal(a.beta_coef, b.beta_coef)
+    a = fflm_fit(data).layers[0]
+    b = fflm_fit(data).layers[0]
+    npt.assert_array_equal(a.w_coef, b.w_coef)
 
     perm = np.random.default_rng(0).permutation(data.n)
     shuffled = data.subset(perm)
-    c = fflm_fit(shuffled)
-    npt.assert_allclose(a.beta_coef, c.beta_coef, atol=1e-8)
-    npt.assert_allclose(a.alpha_coef, c.alpha_coef, atol=1e-8)
+    c = fflm_fit(shuffled).layers[0]
+    npt.assert_allclose(a.w_coef, c.w_coef, atol=1e-8)
+    npt.assert_allclose(a.b_coef, c.b_coef, atol=1e-8)
 
 
 def test_fflm_penalty_flattens_the_surface():

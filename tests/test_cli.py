@@ -138,6 +138,13 @@ def test_fit_fflm_closed_form_with_lambda_grid(tmp_path):
     assert metrics["tuned_lam"] in (0.0, 1e-3)
     assert metrics["lam_b"] is None
 
+    # the saved model must reproduce the reported test RMSE
+    full = datagen.load_table(str(data), 9, 7)
+    _, _, test = datagen.split(full, datagen.SplitSpec(14, 5, 7, seed=0))
+    model = baselines.FflmModel.from_dict(json.loads((out / "model.json").read_text()))
+    assert abs(rmse(model.predict(test.x), test.y, test.y_grid)
+               - metrics["test_rmse"]) <= 1e-12
+
 
 def test_fit_network_lambda_grid_records_choice(tmp_path):
     data = simulate_small(tmp_path)
@@ -259,6 +266,14 @@ def test_json_outputs_refuse_nan(tmp_path):
     (("benchmark", "--workers", "0"), "--workers"),
     (("benchmark", "--workers", "-1"), "--workers"),
     (("benchmark", "--replicates", "0"), "--replicates"),
+    (("fit", "--folds", "1"), "--folds"),
+    (("fit", "--mode", "cv", "--folds", "1"), "--folds"),
+    # the training flags are checked by TrainConfig, also before any data is read
+    (("fit", "--step-size", "0"), "step_size"),
+    (("fit", "--lam", "-1"), "smoothing"),
+    (("fit", "--model", "fflm", "--lam", "-1"), "smoothing"),
+    (("fit", "--lam-b", "-0.5"), "smoothing"),
+    (("fit", "--patience", "0"), "patience"),
 ])
 def test_count_flags_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
     def read(*args, **kwargs):
@@ -271,6 +286,30 @@ def test_count_flags_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch
     assert run(*argv, *data, "--m", "9", "--m-y", "7", "--out", out) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, key", [
+    ({"m": 9, "n": 26}, "'m_y'"),
+    ({"m": "ten", "m_y": 7}, "'m'"),
+    ({"m": 9, "m_y": 7.0}, "'m_y'"),
+    ([9, 7], "'m'"),
+])
+def test_malformed_dataset_sidecar_is_a_usage_error(tmp_path, capsys, sidecar, key):
+    data = simulate_small(tmp_path)
+    (data.parent / "dataset.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "fit"
+    assert run("fit", "--data", data, "--model", "fflm", "--out", out, *FIT_FAST) == 1
+    err = capsys.readouterr().err
+    assert "dataset.json" in err and key in err
+    assert not out.exists()
+
+
+def test_layout_flags_fill_what_the_sidecar_lacks(tmp_path):
+    data = simulate_small(tmp_path)
+    (data.parent / "dataset.json").write_text(json.dumps({"m": 9}))
+    code = run("fit", "--data", data, "--model", "fflm", "--num-basis", "5", "--m-y", "7",
+               "--out", tmp_path / "fit", *FIT_FAST)
+    assert code == 0
 
 
 @pytest.mark.parametrize("flags", [
@@ -460,6 +499,10 @@ def fail_if_called(*args, **kwargs):
     ("--models", "fbnn", "--num-basis", "3"),
     ("--models", "fflm", "--num-basis", "3"),
     ("--models", "vnn", "--hidden", "0"),
+    ("--models", "fflm,fdnn", "--step-size", "0"),
+    ("--models", "fflm,fdnn", "--lam", "-1"),
+    ("--models", "fflm,fdnn", "--lam-b", "-0.5"),
+    ("--models", "fflm,fdnn", "--patience", "0"),
 ])
 def test_benchmark_rejects_bad_architecture_before_generating_data(tmp_path, capsys,
                                                                    monkeypatch, flags):

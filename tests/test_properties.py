@@ -1,7 +1,7 @@
 """Property checks over random small architectures of every network kind:
 exact gradients, serialization round trips and, for the basis network,
-equivalence with its direct expansion; and recovery of noiseless data by
-the linear model."""
+equivalence with its direct expansion; and, for the linear model, recovery
+of noiseless data and a closed form at which the network gradient vanishes."""
 
 import json
 
@@ -89,9 +89,33 @@ def test_fflm_recovers_noiseless_data_of_its_own_bases(sizes, r_count, seed):
     rng = np.random.default_rng(seed)
     x_grid, y_grid = Grid(20), Grid(15)
     b, c, d = sizes
-    truth = FflmModel(rng.normal(size=b), rng.normal(size=(r_count, c, d)),
-                      BSplineBasis(b), BSplineBasis(c), BSplineBasis(d), x_grid, y_grid)
+    truth = FflmModel.from_coefficients(rng.normal(size=b), rng.normal(size=(r_count, c, d)),
+                                        BSplineBasis(b), BSplineBasis(c), BSplineBasis(d),
+                                        x_grid, y_grid)
     x = rng.normal(size=(60, r_count, x_grid.m))
     data = FuncDataset(x, truth.predict(x), x_grid, y_grid)
     refit = fflm_fit(data, b, c, d)
     assert rmse(refit.predict(x), data.y, y_grid) < 1e-6
+
+
+@FEW
+@given(sizes=st.tuples(*[st.integers(5, 8)] * 3), r_count=st.sampled_from([1, 2]),
+       lam=st.sampled_from([0.0, 1e-3, 0.1]), seed=st.integers(0, 2**16))
+def test_fflm_solution_is_a_stationary_point_of_the_network_objective(sizes, r_count,
+                                                                      lam, seed):
+    # the closed form minimizes the network loss plus penalty(0, lam), so the
+    # network's exact gradient of that objective vanishes at the solution
+    rng = np.random.default_rng(seed)
+    x_grid, y_grid = Grid(20), Grid(15)
+    x = rng.normal(size=(60, r_count, x_grid.m))
+    y = rng.normal(size=(60, y_grid.m))
+    model = fflm_fit(FuncDataset(x, y, x_grid, y_grid), *sizes, lam=lam)
+
+    def gradient():
+        pred, cache = model.forward(x)
+        return model.penalty(0.0, lam, model.backward(cache, pred - y))[1]
+
+    at_solution = gradient()
+    model.set_parameters([np.zeros_like(p) for p in model.parameters()])
+    for grad, at_zero in zip(at_solution, gradient(), strict=True):
+        assert np.abs(grad).max() <= 1e-7 * np.abs(at_zero).max()
