@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +26,6 @@ from .gp import MaternParams
 from .grids import Grid
 
 SCHEMA_VERSION = 1
-
-MODELS = ("fdnn", "fbnn", "fflm", "vnn")
 
 
 class _UsageError(Exception):
@@ -73,6 +74,9 @@ def _at_least(low: int):
     return count
 
 
+_MIN_POINTS = 2  # the fewest points on a grid
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_finite(part) for part in str(text).split(",") if part.strip())
 
@@ -90,6 +94,49 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected true/false, 1/0, yes/no or on/off, got {text!r}")
 
 
+def _arch(args, m, m_y, input_count) -> dict:
+    return dict(input_points=m, output_points=m_y, input_count=input_count,
+                hidden_neurons=tuple(args.neurons), hidden_points=tuple(args.grid_points),
+                activation=args.activation)
+
+
+def _new_fdnn(args, m, m_y, input_count, seed):
+    return fdnn.init(fdnn.FdnnConfig(**_arch(args, m, m_y, input_count)), seed)
+
+
+def _new_fbnn(args, m, m_y, input_count, seed):
+    bases = dict.fromkeys(("num_intercept_basis", "num_row_basis", "num_col_basis"),
+                          args.num_basis)
+    return fbnn.init(fbnn.FbnnConfig(**_arch(args, m, m_y, input_count), **bases), seed)
+
+
+def _new_vnn(args, m, m_y, input_count, seed):
+    return baselines.vnn_init(input_count, m, m_y, tuple(args.hidden), args.activation, seed)
+
+
+class _Kind(NamedTuple):
+    """All that the commands need to know of a model kind."""
+
+    # (args, m, m_y, input_count, seed) -> a new network with the
+    # architecture flags of args; None for the closed-form linear fit
+    build: Callable | None
+    takes: tuple[str, ...]  # which of --lam, --lam-b, --lam-w, --lam-grid, --mode apply
+    min_points: int  # fewest points a penalty needs on every grid it acts on
+    direct: Callable | None  # model -> the direct network its parameter functions are dumped from
+
+
+_PENALTIES = ("lam", "lam_b", "lam_w", "lam_grid")
+_KINDS = {
+    # second differences need 3 points
+    "fdnn": _Kind(_new_fdnn, (*_PENALTIES, "mode"), 3, lambda net: net),
+    "fbnn": _Kind(_new_fbnn, (*_PENALTIES, "mode"), 0, fbnn.expand_to_direct),
+    # the linear model penalises its surface (λ_w) and not its intercept
+    "fflm": _Kind(None, ("lam", "lam_w", "lam_grid"), 0, None),
+    "vnn": _Kind(_new_vnn, ("mode",), 0, None),
+}
+MODELS = tuple(_KINDS)
+
+
 # Every option of a subcommand, in --help order: key -> (cast, hard
 # default[, choices]).  The flags, their config-file keys and the checks
 # on both come from here.
@@ -101,9 +148,9 @@ _FIRST_TERMS = ("as_printed", "s")
 _SIM_DEFAULTS = {
     "scenario": (str, "linear", datagen.SCENARIOS),
     "first_term": (str, "as_printed", _FIRST_TERMS),
-    "n": (int, 1100),
-    "m": (int, 100),
-    "m_y": (int, 75),
+    "n": (_at_least(1), 1100),
+    "m": (_at_least(_MIN_POINTS), 100),
+    "m_y": (_at_least(_MIN_POINTS), 75),
     "sigma2": (_finite, 1.0),
     "rho": (_finite, 0.5),
     "nu": (_finite, 2.5),
@@ -128,8 +175,8 @@ _ARCH_DEFAULTS = {
 }
 _FIT_DEFAULTS = {
     "data": (str, None),
-    "m": (int, None),
-    "m_y": (int, None),
+    "m": (_at_least(_MIN_POINTS), None),
+    "m_y": (_at_least(_MIN_POINTS), None),
     "model": (str, "fdnn", MODELS),
     "mode": (str, "early-stopping", ("early-stopping", "cv", "fixed")),
     "cv_strategy": (str, "mean", training.ES_STRATEGIES),
@@ -148,9 +195,9 @@ _BENCH_DEFAULTS = {
     "scenarios": (_str_list, ("linear",)),
     "models": (_str_list, ("fdnn",)),
     "replicates": (_at_least(1), 10),
-    "n": (int, 1100),
-    "m": (int, 100),
-    "m_y": (int, 75),
+    "n": (_at_least(11), 1100),  # the default split needs 11 for a validation curve
+    "m": (_at_least(_MIN_POINTS), 100),
+    "m_y": (_at_least(_MIN_POINTS), 75),
     "first_term": (str, "as_printed", _FIRST_TERMS),
     **_ARCH_DEFAULTS,
     **_TRAIN_DEFAULTS,
@@ -248,22 +295,10 @@ def cmd_simulate(args) -> int:
     data = datagen.generate(scenario, args.n, args.m, args.m_y, matern, args.seed)
     csv_path = os.path.join(args.out, "dataset.csv")
     datagen.save_table(csv_path, data)
-    _write_json(
-        os.path.join(args.out, "dataset.json"),
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "scenario": args.scenario,
-            "first_term": args.first_term,
-            "n": args.n,
-            "m": args.m,
-            "m_y": args.m_y,
-            "sigma2": args.sigma2,
-            "rho": args.rho,
-            "nu": args.nu,
-            "seed": args.seed,
-        },
-    )
+    # every option but the output directory, in --help order
+    options = {key: getattr(args, key) for key in _SIM_DEFAULTS if key != "out"}
+    _write_json(os.path.join(args.out, "dataset.json"),
+                {"schema_version": SCHEMA_VERSION, "command": "simulate", **options})
     print(f"wrote {csv_path} ({data.n} rows)")
     return 0
 
@@ -280,30 +315,19 @@ def _resolve_layout(args):
     sidecar = os.path.splitext(args.data)[0] + ".json"
     if None in layout.values() and os.path.exists(sidecar):
         with open(sidecar) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise _UsageError(f"{sidecar}: not valid JSON: {exc}") from exc
         for key in [key for key, value in layout.items() if value is None]:
             layout[key] = doc.get(key) if isinstance(doc, dict) else None
-            if type(layout[key]) is not int:  # bool is an int subclass
-                raise _UsageError(f"{sidecar}: {key!r} is missing or not an integer")
+            # bool is an int subclass
+            if type(layout[key]) is not int or layout[key] < _MIN_POINTS:
+                raise _UsageError(f"{sidecar}: {key!r} is missing or not an integer "
+                                  f"of at least {_MIN_POINTS}")
     if None in layout.values():
         raise _UsageError("--m/--m-y required (no dataset sidecar found)")
     return layout["m"], layout["m_y"]
-
-
-def _build_network(kind: str, m: int, m_y: int, input_count: int, args, seed):
-    """A new fdnn, fbnn or vnn network with the architecture flags of ``args``."""
-    if kind == "vnn":
-        return baselines.vnn_init(
-            input_count, m, m_y, tuple(args.hidden), args.activation, seed
-        )
-    arch = dict(input_points=m, output_points=m_y, input_count=input_count,
-                hidden_neurons=tuple(args.neurons), hidden_points=tuple(args.grid_points),
-                activation=args.activation)
-    if kind == "fdnn":
-        return fdnn.init(fdnn.FdnnConfig(**arch), seed)
-    bases = dict.fromkeys(("num_intercept_basis", "num_row_basis", "num_col_basis"),
-                          args.num_basis)
-    return fbnn.init(fbnn.FbnnConfig(**arch, **bases), seed)
 
 
 def _smoothing(args) -> tuple[float, float]:
@@ -313,24 +337,37 @@ def _smoothing(args) -> tuple[float, float]:
     return args.lam_b, args.lam_w
 
 
-def _check_smoothing(args, models, m, m_y):
-    """Refuse, before any work is done, a roughness penalty that vnn does
-    not have or that fdnn cannot take on a grid of fewer than 3 points
-    (the second differences need 3)."""
+def _check_models(args, models, m, m_y):
+    """Refuse, before any data is read or generated, a roughness penalty on
+    a grid too coarse for a listed model, a positive penalty or a --mode
+    that a listed model does not take (naming every model that refuses
+    it), and architecture flags a listed model cannot be built with."""
     lam_b, lam_w = _smoothing(args)
     grid = getattr(args, "lam_grid", None) or ()
-    if not (lam_b > 0 or lam_w > 0 or any(grid)):
-        return
-    if "vnn" in models:
-        raise _UsageError("model vnn has no roughness penalty; leave --lam, --lam-b, "
-                          "--lam-w and --lam-grid at 0 for it")
-    # intercepts live on the hidden and output grids, weights also on the input grid
-    points = (args.grid_points if args.neurons else ()) + (m_y,)
-    if lam_w > 0 or any(grid):
-        points += (m,)
-    if "fdnn" in models and min(points) < 3:
-        raise _UsageError("a penalised fdnn needs at least 3 points on every grid "
-                          "(--m, --m-y, --grid-points); raise them or drop the penalty")
+    if lam_b > 0 or lam_w > 0 or any(grid):
+        # intercepts live on the hidden and output grids, weights also on the input grid
+        points = (args.grid_points if args.neurons else ()) + (m_y,)
+        if lam_w > 0 or any(grid):
+            points += (m,)
+        for kind in models:
+            if min(points) < _KINDS[kind].min_points:
+                raise _UsageError(f"a penalised {kind} needs at least "
+                                  f"{_KINDS[kind].min_points} points on every grid (--m, "
+                                  "--m-y, --grid-points); raise them or drop the penalty")
+    asked = {"lam": (args.lam or 0) > 0, "lam_b": args.lam_b > 0, "lam_w": args.lam_w > 0,
+             "lam_grid": any(grid),
+             "mode": getattr(args, "mode", None) not in (None, _FIT_DEFAULTS["mode"][1])}
+    for key in [key for key, value in asked.items() if value]:
+        refusing = [kind for kind in models if key not in _KINDS[kind].takes]
+        if refusing:
+            raise _UsageError(f"--{key.replace('_', '-')} does not apply to model "
+                              f"{', '.join(refusing)}; leave it out")
+    for kind in models:  # on one predictor curve, as every dataset has
+        build = _KINDS[kind].build
+        if build:
+            build(args, m, m_y, 1, 0)
+        else:
+            BSplineBasis(args.num_basis)
 
 
 def _split_sizes(args):
@@ -372,15 +409,51 @@ def _merge(train, val) -> datagen.FuncDataset:
     )
 
 
-def _fit_fflm(merged, args, lam_grid=None):
-    """Closed-form linear fit (λ tuned by k-fold CV over ``lam_grid`` if given)."""
-    bases = dict.fromkeys(("num_intercept_basis", "num_pred_basis", "num_resp_basis"),
-                          args.num_basis)
-    lam = args.lam if args.lam is not None else args.lam_w
+def _fit(kind, args, train, val, cfg, seed, mode, lam_grid):
+    """A new ``kind`` model fitted in ``mode``, its penalty first tuned by
+    k-fold CV over ``lam_grid`` if given, with its training history (None
+    for closed-form and CV fits) and, for ``metrics.json``, the penalties
+    it was fitted with and any tuning or CV summary."""
+    build = _KINDS[kind].build
+    if build is None:  # closed form on train + validation; no validation set needed
+        merged = _merge(train, val)
+        bases = dict.fromkeys(("num_intercept_basis", "num_pred_basis", "num_resp_basis"),
+                              args.num_basis)
+        lam = args.lam if args.lam is not None else args.lam_w
+        extra = {}
+        if lam_grid:
+            lam = extra["tuned_lam"] = baselines.fflm_tune_lambda(
+                merged, lam_grid, k=args.folds, seed=seed, **bases)
+        return (baselines.fflm_fit(merged, lam=lam, **bases), None,
+                {"lam_b": None, "lam_w": lam, **extra})
+
+    factory = functools.partial(build, args, train.x_grid.m, train.y_grid.m, train.x.shape[1])
+    extra = {}
     if lam_grid:
-        lam = baselines.fflm_tune_lambda(merged, lam_grid, k=args.folds,
-                                         seed=args.seed, **bases)
-    return baselines.fflm_fit(merged, lam=lam, **bases), lam
+        lam_b, lam_w = training.tune_lambda(factory, (train.x, train.y), lam_grid,
+                                            k=args.folds, cfg=cfg)
+        cfg = cfg.replace(lam_b=lam_b, lam_w=lam_w)
+        extra = {"tuned_lam_b": lam_b, "tuned_lam_w": lam_w}
+    history = None
+    if mode == "early-stopping":
+        model = factory(seed)
+        history = training.train_early_stopping(model, (train.x, train.y), (val.x, val.y), cfg)
+    elif mode == "fixed":
+        model = factory(seed)
+        merged = _merge(train, val)
+        history = training.train_fixed(model, merged.x, merged.y, args.iterations, cfg)
+    else:
+        merged = _merge(train, val)
+        model, cv_res = training.cv_early_stopping(
+            factory, (merged.x, merged.y), k=args.folds, strategy=args.cv_strategy, cfg=cfg,
+        )
+        extra["cv"] = {
+            "strategy": cv_res.strategy,
+            "fold_best_iterations": cv_res.fold_best_iterations,
+            "fold_val_losses": cv_res.fold_val_losses,
+            "aggregate_iterations": cv_res.aggregate_iterations,
+        }
+    return model, history, {"lam_b": cfg.lam_b, "lam_w": cfg.lam_w, **extra}
 
 
 def cmd_fit(args) -> int:
@@ -389,62 +462,21 @@ def cmd_fit(args) -> int:
     sizes = _split_sizes(args)
     cfg = _train_config(args)
     m, m_y = _resolve_layout(args)
-    _check_smoothing(args, [args.model], m, m_y)
+    _check_models(args, [args.model], m, m_y)
     data = datagen.load_table(args.data, m, m_y)
     spec = datagen.SplitSpec(*(sizes or _default_split(data.n)), args.split_seed)
     train, val, test = datagen.split(data, spec)
     os.makedirs(args.out, exist_ok=True)
-    input_count = data.x.shape[1]
-    merged = _merge(train, val)  # what every mode but early stopping fits on
-
-    def factory(seed):
-        return _build_network(args.model, m, m_y, input_count, args, seed)
-
-    history = None
-    extra: dict = {}
-    if args.model == "fflm":
-        # the linear model needs no validation set
-        model, lam = _fit_fflm(merged, args, args.lam_grid)
-        if args.lam_grid:
-            extra["tuned_lam"] = lam
-    else:
-        if args.lam_grid:
-            lam_b, lam_w = training.tune_lambda(
-                factory, (train.x, train.y), args.lam_grid, k=args.folds, cfg=cfg
-            )
-            cfg = cfg.replace(lam_b=lam_b, lam_w=lam_w)
-            extra["tuned_lam_b"] = lam_b
-            extra["tuned_lam_w"] = lam_w
-        model = factory(args.seed)
-        if args.mode == "early-stopping":
-            history = training.train_early_stopping(
-                model, (train.x, train.y), (val.x, val.y), cfg
-            )
-        elif args.mode == "fixed":
-            history = training.train_fixed(model, merged.x, merged.y,
-                                           args.iterations, cfg)
-        else:
-            model, cv_res = training.cv_early_stopping(
-                factory, (merged.x, merged.y), k=args.folds,
-                strategy=args.cv_strategy, cfg=cfg,
-            )
-            extra["cv"] = {
-                "strategy": cv_res.strategy,
-                "fold_best_iterations": cv_res.fold_best_iterations,
-                "fold_val_losses": cv_res.fold_val_losses,
-                "aggregate_iterations": cv_res.aggregate_iterations,
-            }
-
+    model, history, record = _fit(args.model, args, train, val, cfg, args.seed, args.mode,
+                                  args.lam_grid)
     metrics = {
         "schema_version": SCHEMA_VERSION,
         "model": args.model,
-        "mode": args.mode if args.model != "fflm" else "closed-form",
+        "mode": args.mode if _KINDS[args.model].build else "closed-form",
         "train_rmse": _rmse_of(model, train),
         "val_rmse": _rmse_of(model, val) if val.n else None,
         "test_rmse": _rmse_of(model, test) if test.n else None,
-        "lam_b": cfg.lam_b if args.model != "fflm" else None,
-        "lam_w": cfg.lam_w if args.model != "fflm" else None,
-        **extra,
+        **record,
     }
     if history is not None:
         metrics["stopping_iteration"] = history.stopping_iteration
@@ -455,7 +487,7 @@ def cmd_fit(args) -> int:
     _write_json(os.path.join(args.out, "metrics.json"), metrics)
     print(
         f"{args.model}: train {metrics['train_rmse']:.4f}"
-        + (f", test {metrics['test_rmse']:.4f}" if metrics["test_rmse"] else "")
+        + (f", test {metrics['test_rmse']:.4f}" if metrics["test_rmse"] is not None else "")
     )
     return 0
 
@@ -491,38 +523,24 @@ def _run_benchmark_task(task, args, cfg) -> dict:
     train, val, test = datagen.split(
         data, datagen.SplitSpec(n_train, n_val, n_test, task["split_seed"])
     )
-    model_seed = task["model_seed"]
     kind = task["model"]
-    if kind == "fflm":
-        model, _ = _fit_fflm(_merge(train, val), args)
-    else:
-        model = _build_network(kind, args.m, args.m_y, 1, args, model_seed)
-        training.train_early_stopping(model, (train.x, train.y), (val.x, val.y), cfg)
-    out = {
-        "scenario": task["scenario"],
-        "model": kind,
-        "replicate": task["replicate"],
-        "rmse": _rmse_of(model, test),
-    }
-    if task["replicate"] == 0 and kind in ("fdnn", "fbnn") and args.write_params:
-        direct = fbnn.expand_to_direct(model) if kind == "fbnn" else model
-        out["params"] = [(layer.b, layer.w) for layer in direct.layers]
+    model, _, _ = _fit(kind, args, train, val, cfg, task["model_seed"], "early-stopping", None)
+    out = {"rmse": _rmse_of(model, test)}
+    direct = _KINDS[kind].direct
+    if task["replicate"] == 0 and direct and args.write_params:
+        out["params"] = [(layer.b, layer.w) for layer in direct(model).layers]
     return out
 
 
 def _task_wrapper(payload):
+    """The result row of one task; a failure is recorded and the run continues."""
     task, args_dict, cfg = payload
-    args = argparse.Namespace(**args_dict)
+    row = {key: task[key] for key in ("scenario", "model", "replicate")}
     try:
-        return _run_benchmark_task(task, args, cfg)
-    except Exception as exc:  # recorded, run continues
-        return {
-            "scenario": task["scenario"],
-            "model": task["model"],
-            "replicate": task["replicate"],
-            "rmse": None,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        row.update(_run_benchmark_task(task, argparse.Namespace(**args_dict), cfg))
+    except Exception as exc:
+        row.update(rmse=None, error=f"{type(exc).__name__}: {exc}")
+    return row
 
 
 def _write_param_functions(path, layers):
@@ -547,24 +565,17 @@ def _write_param_functions(path, layers):
 
 
 def cmd_benchmark(args) -> int:
-    for kind in args.models:
-        if kind not in MODELS:
-            raise _UsageError(f"unknown model {kind!r}; choose from {MODELS}")
-    for name in args.scenarios:
-        if name not in datagen.SCENARIOS:
-            raise _UsageError(f"unknown scenario {name!r}")
-    for flag, names in (("--models", args.models), ("--scenarios", args.scenarios)):
+    for flag, names, known in (("--models", args.models, MODELS),
+                               ("--scenarios", args.scenarios, datagen.SCENARIOS)):
+        for name in names:
+            if name not in known:
+                raise _UsageError(f"unknown {flag[2:-1]} {name!r}; choose from {known}")
         twice = sorted({name for name in names if names.count(name) > 1})
         if twice:
             raise _UsageError(f"{flag} lists {', '.join(twice)} more than once")
-    _check_smoothing(args, args.models, args.m, args.m_y)
     # a bad training or architecture flag fails here, not once per replicate
     cfg = _train_config(args)
-    for kind in args.models:
-        if kind == "fflm":
-            BSplineBasis(args.num_basis)
-        else:
-            _build_network(kind, args.m, args.m_y, 1, args, 0)
+    _check_models(args, args.models, args.m, args.m_y)
     os.makedirs(args.out, exist_ok=True)
     tasks = _benchmark_tasks(args)
     args_dict = vars(args).copy()
@@ -576,46 +587,27 @@ def cmd_benchmark(args) -> int:
         rows = [_task_wrapper(p) for p in payloads]
 
     results_path = os.path.join(args.out, "results.csv")
+    cells = {(scenario, kind): [] for scenario in args.scenarios for kind in args.models}
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "model", "replicate", "rmse", "error"])
-        for row in sorted(
-            rows, key=lambda r: (r["scenario"], r["model"], r["replicate"])
-        ):
-            writer.writerow(
-                [
-                    row["scenario"],
-                    row["model"],
-                    row["replicate"],
-                    "" if row["rmse"] is None else repr(float(row["rmse"])),
-                    row.get("error", ""),
-                ]
-            )
+        for row in sorted(rows, key=lambda r: (r["scenario"], r["model"], r["replicate"])):
+            rmse = row["rmse"]
+            writer.writerow([row["scenario"], row["model"], row["replicate"],
+                             "" if rmse is None else repr(float(rmse)), row.get("error", "")])
+            if rmse is not None:
+                cells[row["scenario"], row["model"]].append(rmse)
 
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "model", "replicates", "mean_rmse", "se_rmse"])
-        for scenario in args.scenarios:
-            for kind in args.models:
-                vals = [
-                    row["rmse"]
-                    for row in rows
-                    if row["scenario"] == scenario
-                    and row["model"] == kind
-                    and row["rmse"] is not None
-                ]
-                if vals:
-                    mean = float(np.mean(vals))
-                    se = (
-                        float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-                        if len(vals) > 1
-                        else 0.0
-                    )
-                    writer.writerow([scenario, kind, len(vals), f"{mean:.6f}",
-                                     f"{se:.6f}"])
-                else:
-                    writer.writerow([scenario, kind, 0, "", ""])
+        for (scenario, kind), vals in cells.items():
+            if not vals:
+                writer.writerow([scenario, kind, 0, "", ""])
+                continue
+            se = np.std(vals, ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+            writer.writerow([scenario, kind, len(vals), f"{np.mean(vals):.6f}", f"{se:.6f}"])
 
     for row in rows:
         if "params" in row:
@@ -647,22 +639,19 @@ def cmd_gradcheck(args) -> int:
 
     arch = argparse.Namespace(neurons=(2,), grid_points=(m_hidden,), num_basis=5,
                               hidden=(6,), activation="tanh")
-    nets = {kind: _build_network(kind, m, m_y, 1, arch, rng.integers(2**32))
-            for kind in ("fdnn", "fbnn", "vnn")}
+    nets = {kind: spec.build(arch, m, m_y, 1, rng.integers(2**32))
+            for kind, spec in _KINDS.items() if spec.build}
     report = {"schema_version": SCHEMA_VERSION, "eps": args.eps,
               "tolerance": args.tolerance, "errors": {}}
     errors = []
     for name, net in nets.items():
         err_loss = training.grad_check(net, x, y, eps=args.eps)
         entry = {"loss": err_loss}
-        if name in ("fdnn", "fbnn"):
-            err_pen = training.fd_error(lambda: net.penalty(1.0, 1.0)[0],
-                                        net.parameters(), net.penalty(1.0, 1.0)[1],
-                                        args.eps)
-            entry["penalty"] = err_pen
-            print(f"gradcheck {name}: loss {err_loss:.3e}, penalty {err_pen:.3e}")
-        else:
-            print(f"gradcheck {name}: loss {err_loss:.3e}")
+        if "lam" in _KINDS[name].takes:
+            entry["penalty"] = training.fd_error(lambda: net.penalty(1.0, 1.0)[0],
+                                                 net.parameters(), net.penalty(1.0, 1.0)[1],
+                                                 args.eps)
+        print(f"gradcheck {name}: " + ", ".join(f"{k} {v:.3e}" for k, v in entry.items()))
         errors.extend(entry.values())
         # a non-finite error is written as null, since NaN is not JSON
         report["errors"][name] = {k: _finite_or_none(v) for k, v in entry.items()}
@@ -683,13 +672,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, _COMMANDS[args.command][1])
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
-        return cmd_gradcheck(args)
+        return {"simulate": cmd_simulate, "fit": cmd_fit, "benchmark": cmd_benchmark,
+                "gradcheck": cmd_gradcheck}[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -249,9 +249,15 @@ class Network:
 
     @classmethod
     def from_dict(cls, doc: dict):
-        if doc.get("kind") != cls.kind:
-            raise ValueError(f"document kind {doc.get('kind')!r} is not {cls.kind!r}")
-        return cls._from_layout(doc)
+        """The network of a :meth:`to_dict` document; called on ``Network``
+        itself, an instance of the subclass whose ``kind`` it names."""
+        if cls is Network:
+            kinds = {sub.kind: sub for sub in Network.__subclasses__()}
+        else:
+            kinds = {cls.kind: cls}
+        if doc.get("kind") not in kinds:
+            raise ValueError(f"document kind {doc.get('kind')!r} is not one of {sorted(kinds)}")
+        return kinds[doc["kind"]]._from_layout(doc)
 
     @classmethod
     def _from_layout(cls, doc: dict):

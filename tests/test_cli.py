@@ -13,6 +13,7 @@ import pytest
 
 from funcnet import baselines, cli, datagen, fbnn, fdnn, network, training
 from funcnet.cli import main
+from funcnet.grids import Grid
 from funcnet.training import rmse
 
 
@@ -136,6 +137,7 @@ def test_fit_fflm_closed_form_with_lambda_grid(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["mode"] == "closed-form"
     assert metrics["tuned_lam"] in (0.0, 1e-3)
+    assert metrics["lam_w"] == metrics["tuned_lam"]
     assert metrics["lam_b"] is None
 
     # the saved model must reproduce the reported test RMSE
@@ -144,6 +146,64 @@ def test_fit_fflm_closed_form_with_lambda_grid(tmp_path):
     model = baselines.FflmModel.from_dict(json.loads((out / "model.json").read_text()))
     assert abs(rmse(model.predict(test.x), test.y, test.y_grid)
                - metrics["test_rmse"]) <= 1e-12
+
+
+def test_fit_fflm_records_the_lambda_it_was_fitted_with(tmp_path):
+    data = simulate_small(tmp_path)
+    out = tmp_path / "fit"
+    assert run("fit", "--data", data, "--model", "fflm", "--num-basis", "5",
+               "--lam", "1e-3", "--out", out, *FIT_FAST) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["lam_w"] == 1e-3 and metrics["lam_b"] is None
+    assert json.loads((out / "model.json").read_text())["lam"] == 1e-3
+
+
+@pytest.mark.parametrize("flags", [("--lam-b", "5"), ("--mode", "cv")])
+def test_fit_fflm_refuses_flags_it_does_not_take(tmp_path, capsys, monkeypatch, flags):
+    def read(*args, **kwargs):
+        raise AssertionError("data read before the usage check")
+
+    data = simulate_small(tmp_path)
+    monkeypatch.setattr(datagen, "load_table", read)
+    out = tmp_path / "fit"
+    assert run("fit", "--data", data, "--model", "fflm", "--out", out, *FIT_FAST, *flags) == 1
+    assert f"{flags[0]} does not apply to model fflm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, cls", [("fdnn", fdnn.FdnnNetwork), ("fbnn", fbnn.FbnnNetwork),
+                                       ("fflm", baselines.FflmModel),
+                                       ("vnn", baselines.VectorNN)])
+def test_fit_saves_a_model_that_network_from_dict_restores(tmp_path, kind, cls):
+    data = simulate_small(tmp_path)
+    out = tmp_path / kind
+    assert run("fit", "--data", data, "--model", kind, "--num-basis", "5", "--hidden", "6",
+               "--out", out, *FIT_FAST) == 0
+    net = network.Network.from_dict(json.loads((out / "model.json").read_text()))
+    assert type(net) is cls
+    _, _, test = datagen.split(datagen.load_table(str(data), 9, 7),
+                               datagen.SplitSpec(14, 5, 7, seed=0))
+    metrics = json.loads((out / "metrics.json").read_text())
+    npt.assert_allclose(rmse(net.predict(test.x), test.y, test.y_grid), metrics["test_rmse"],
+                        rtol=1e-12, atol=0)
+
+
+def test_network_from_dict_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="'nope'"):
+        network.Network.from_dict({"kind": "nope"})
+    doc = fdnn.init(fdnn.FdnnConfig(9, 7, 1, (2,), (8,)), seed=0).to_dict()
+    with pytest.raises(ValueError, match="'fdnn'"):
+        fbnn.FbnnNetwork.from_dict(doc)
+
+
+def test_fit_prints_a_test_rmse_of_zero(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "zero.csv"
+    datagen.save_table(str(path), datagen.FuncDataset(rng.normal(size=(26, 1, 9)),
+                                                      np.zeros((26, 7)), Grid(9), Grid(7)))
+    assert run("fit", "--data", path, "--m", "9", "--m-y", "7", "--model", "fflm",
+               "--num-basis", "5", "--out", tmp_path / "fit") == 0
+    assert capsys.readouterr().out == "fflm: train 0.0000, test 0.0000\n"
 
 
 def test_fit_network_lambda_grid_records_choice(tmp_path):
@@ -212,6 +272,25 @@ def test_partial_split_flags_are_usage_error(tmp_path, capsys, given):
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--model", "fdnn", "--activation", "bogus"),
+    ("--model", "fbnn", "--num-basis", "3"),
+    ("--model", "fflm", "--num-basis", "3"),
+    ("--model", "vnn", "--hidden", "0"),
+])
+def test_fit_rejects_bad_architecture_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                          flags):
+    def read(*args, **kwargs):
+        raise AssertionError("data read before the usage check")
+
+    data = simulate_small(tmp_path)
+    monkeypatch.setattr(datagen, "load_table", read)
+    out = tmp_path / "fit"
+    assert run("fit", "--data", data, "--out", out, *FIT_FAST, *flags) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [("--lam", "0.01"), ("--lam-b", "0.01"),
                                    ("--lam-w", "0.01"), ("--lam-grid", "0,0.1")])
 def test_fit_rejects_penalised_vnn_before_training(tmp_path, capsys, monkeypatch, flags):
@@ -274,6 +353,15 @@ def test_json_outputs_refuse_nan(tmp_path):
     (("fit", "--model", "fflm", "--lam", "-1"), "smoothing"),
     (("fit", "--lam-b", "-0.5"), "smoothing"),
     (("fit", "--patience", "0"), "patience"),
+    # a grid needs two points, a dataset one curve, a benchmark split a validation curve
+    (("simulate", "--m", "1"), "--m"),
+    (("simulate", "--m-y", "0"), "--m-y"),
+    (("simulate", "--n", "0"), "--n"),
+    (("fit", "--m", "-3"), "--m"),
+    (("fit", "--m-y", "1"), "--m-y"),
+    (("benchmark", "--m", "1"), "--m"),
+    (("benchmark", "--m-y", "1"), "--m-y"),
+    (("benchmark", "--n", "10"), "--n"),
 ])
 def test_count_flags_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag):
     def read(*args, **kwargs):
@@ -283,7 +371,8 @@ def test_count_flags_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(datagen, "load_table", read)
     data = ("--data", tmp_path / "d.csv") if argv[0] == "fit" else ("--n", "30")
     out = tmp_path / "out"
-    assert run(*argv, *data, "--m", "9", "--m-y", "7", "--out", out) == 1
+    # the case's own flags come last, so they override these
+    assert run(argv[0], *data, "--m", "9", "--m-y", "7", *argv[1:], "--out", out) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
@@ -293,10 +382,14 @@ def test_count_flags_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch
     ({"m": "ten", "m_y": 7}, "'m'"),
     ({"m": 9, "m_y": 7.0}, "'m_y'"),
     ([9, 7], "'m'"),
+    ({"m": -3, "m_y": 7}, "'m'"),
+    ({"m": 9, "m_y": 1}, "'m_y'"),
+    ("{m: 9}", "not valid JSON"),  # written as it is
 ])
 def test_malformed_dataset_sidecar_is_a_usage_error(tmp_path, capsys, sidecar, key):
     data = simulate_small(tmp_path)
-    (data.parent / "dataset.json").write_text(json.dumps(sidecar))
+    text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+    (data.parent / "dataset.json").write_text(text)
     out = tmp_path / "fit"
     assert run("fit", "--data", data, "--model", "fflm", "--out", out, *FIT_FAST) == 1
     err = capsys.readouterr().err
@@ -537,8 +630,16 @@ def test_benchmark_rejects_penalised_vnn_before_generating_data(tmp_path, capsys
         code = run("benchmark", "--scenarios", "linear", "--models", "fflm,vnn",
                    flag, "0.01", "--out", out, *BENCH_FAST)
         assert code == 1
-        assert "vnn" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "vnn" in err
+        # every listed model that refuses the flag is named
+        assert ("fflm" in err) == (flag == "--lam-b")
         assert not out.exists()
+    out = tmp_path / "fdnn"
+    assert run("benchmark", "--models", "fflm,fdnn", "--lam-b", "0.01", "--out", out,
+               *BENCH_FAST) == 1
+    assert "--lam-b does not apply to model fflm;" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- gradcheck
@@ -569,15 +670,14 @@ def test_gradcheck_detects_corrupted_gradient(tmp_path, capsys, monkeypatch):
 
 def test_gradcheck_fails_on_a_nan_error_and_still_writes_its_report(tmp_path, capsys,
                                                                     monkeypatch):
-    build = cli._build_network
+    fdnn_kind = cli._KINDS["fdnn"]
 
-    def with_nan_intercept(kind, *args):
-        net = build(kind, *args)
-        if kind == "fdnn":
-            net.layers[0].b[0, 0] = np.nan
+    def with_nan_intercept(*args):
+        net = fdnn_kind.build(*args)
+        net.layers[0].b[0, 0] = np.nan
         return net
 
-    monkeypatch.setattr(cli, "_build_network", with_nan_intercept)
+    monkeypatch.setitem(cli._KINDS, "fdnn", fdnn_kind._replace(build=with_nan_intercept))
     out = tmp_path / "gc"
     with np.errstate(invalid="ignore"):
         assert run("gradcheck", "--out", out) == 2

@@ -2,7 +2,8 @@
 
 The tracer wraps funcnet's entry points by name from outside the
 package; an entry point it cannot find is reported and skipped, and its
-per-layer metric then reads 0.  These checks only import the tracer.
+per-layer metric then reads 0; so does a span the code never enters.
+These checks only import the tracer.
 """
 
 import importlib.util
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from funcnet import baselines
+from funcnet import baselines, cli
 from funcnet.datagen import FuncDataset
 from funcnet.grids import Grid
 
@@ -45,3 +46,30 @@ def test_tracer_wraps_every_entry_point_and_restores_them(capsys):
         tracer.restore()
     for owner, attr, original, _own in wrapped:
         assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
+
+
+def test_benchmark_rows_and_fits_are_timed_under_their_names(tmp_path):
+    # the per-kind row spans and the linear fit must be entered at run
+    # time, not bypassed by a reference the command captured at import
+    spans = load_spans()
+    tracer = spans.Tracer()
+    kinds = ("fflm", "fdnn", "fbnn", "vnn")
+    try:
+        spans.install(tracer)
+        assert cli.main(["benchmark", "--scenarios", "linear", "--models", ",".join(kinds),
+                         "--replicates", "2", "--n", "30", "--m", "9", "--m-y", "7",
+                         "--neurons", "2", "--grid-points", "8", "--num-basis", "5",
+                         "--hidden", "4", "--max-iterations", "3", "--patience", "inf",
+                         "--out", str(tmp_path)]) == 0
+        records = list(tracer.spans)
+    finally:
+        tracer.restore()
+    names = [record[0] for record in records]
+    for kind in kinds:
+        assert names.count(f"cli.task_{kind}") == 2  # one per result row
+    assert names.count("baselines.fflm_fit") == 2
+    assert names.count("cli.write_params") == 2  # replicate 0 of fdnn and fbnn
+    metrics = spans.layer_metrics(records)
+    for name in (*(f"cli.task_{kind}_ms" for kind in kinds), "baselines.fflm_fit_ms",
+                 "cli.write_params_ms"):
+        assert metrics[name] > 0, name
